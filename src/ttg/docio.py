@@ -49,6 +49,24 @@ def _table(rows, resolve, n, what):
     return tuple(out)
 
 
+def _require(sec, keys, where):
+    for key in keys:
+        if key not in sec:
+            raise DocumentError("%s section missing %r" % (where, key))
+
+
+def _translate_and_triangles(sec, resolve, n, where):
+    translate = tuple(resolve(v) for v in sec["translate"])
+    if len(translate) != n:
+        raise DocumentError("%s translate list must have %d entries" % (where, n))
+    triangles = set()
+    for t in sec["triangles"]:
+        if len(t) != 3:
+            raise DocumentError("%s triangle %r must have 3 entries" % (where, t))
+        triangles.add(tuple(resolve(v) for v in t))
+    return translate, rotation_closure(triangles, translate)
+
+
 def _category_from_doc(sec, max_objects):
     try:
         names = tuple(sec["objects"])
@@ -60,13 +78,10 @@ def _category_from_doc(sec, max_objects):
         raise ResourceError("model has %d objects, over the limit %d"
                             % (len(names), max_objects))
     resolve = _resolver(names, "category")
-    for key in ("zero", "unit", "sum", "tensor", "translate", "triangles"):
-        if key not in sec:
-            raise DocumentError("category section missing %r" % key)
+    _require(sec, ("zero", "unit", "sum", "tensor", "translate", "triangles"),
+             "category")
     n = len(names)
-    translate = tuple(resolve(v) for v in sec["translate"])
-    triangles = rotation_closure(
-        {tuple(resolve(v) for v in t) for t in sec["triangles"]}, translate)
+    translate, triangles = _translate_and_triangles(sec, resolve, n, "category")
     return CategoryPresentation(
         names=names,
         zero=resolve(sec["zero"]),
@@ -79,14 +94,14 @@ def _category_from_doc(sec, max_objects):
 
 
 def _module_from_doc(sec, base):
+    _require(sec, ("objects", "zero", "sum", "translate", "triangles", "action"),
+             "module")
     names = tuple(sec["objects"])
     if len(set(names)) != len(names):
         raise DocumentError("duplicate object names in module")
     resolve = _resolver(names, "module")
     n = len(names)
-    translate = tuple(resolve(v) for v in sec["translate"])
-    triangles = rotation_closure(
-        {tuple(resolve(v) for v in t) for t in sec["triangles"]}, translate)
+    translate, triangles = _translate_and_triangles(sec, resolve, n, "module")
     action_rows = sec["action"]
     if len(action_rows) != base.n_objects:
         raise DocumentError("action table must have one row per category object")
@@ -107,8 +122,13 @@ def _module_from_doc(sec, base):
 
 
 def _build_operator(p, name, spec):
+    if not isinstance(spec, dict):
+        raise DocumentError("operator %r must be a JSON object" % name)
     resolve = _resolver(p.names, "operator %r" % name)
     kind = spec.get("kind")
+    needs = {"division": "s", "family": "members", "table": "table"}.get(kind)
+    if needs and needs not in spec:
+        raise DocumentError("operator %r of kind %r needs %r" % (name, kind, needs))
     if kind == "identity":
         return identity_operator(p)
     if kind == "radical":
@@ -127,6 +147,8 @@ def _build_operator(p, name, spec):
 
 def load_document(doc, max_objects=16):
     """Build a validated presentation and named operators from a parsed doc."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document must be a JSON object")
     if "category" not in doc:
         raise DocumentError("document has no 'category' section")
     cat = _category_from_doc(doc["category"], max_objects)

@@ -57,13 +57,17 @@ def identity_element(c):
     return e
 
 
+def _principal_joins(c, N):
+    """c^inf(N + K(m2)) for every object m2, in object order."""
+    p = c.presentation
+    cinf = c_infinity(p, c)
+    return [cinf.apply(add(p, N, principal(p, m2))) for m2 in range(p.n_objects)]
+
+
 def nc_set(c, N, m):
     """Objects whose principal submodule joined onto N reaches m."""
-    p = c.presentation
     N = _require_fixed(c, N)
-    cinf = c_infinity(p, c)
-    return frozenset(m2 for m2 in range(p.n_objects)
-                     if m in cinf.apply(add(p, N, principal(p, m2))))
+    return frozenset(m2 for m2, J in enumerate(_principal_joins(c, N)) if m in J)
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,18 @@ class ContinuityReport:
 
 def continuity_check(c, N):
     """Compare the preimage of each basic open under join-with-N against the
-    union of basic opens indexed by nc_set, object by object."""
+    union of basic opens indexed by nc_set, object by object.  Each join
+    with a point and with a principal is computed once, for all objects."""
     p = c.presentation
     N = _require_fixed(c, N)
     space = _fixed_space(c)
+    images = [monoid_op(c, N, pt) for pt in space.points]
+    joins = _principal_joins(c, N)
     entries = []
     for m in range(p.n_objects):
-        preimage = frozenset(i for i, pt in enumerate(space.points)
-                             if m in monoid_op(c, N, pt))
-        cover = frozenset()
-        for m2 in sorted(nc_set(c, N, m)):
-            cover |= space.basis[m2]
+        preimage = frozenset(i for i, image in enumerate(images) if m in image)
+        cover = frozenset().union(*(space.basis[m2]
+                                    for m2, J in enumerate(joins) if m in J))
         entries.append((m, preimage == cover, tuple(sorted(preimage)),
                         tuple(sorted(cover))))
     return ContinuityReport(tuple(entries))

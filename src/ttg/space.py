@@ -63,17 +63,14 @@ class SpectralReport:
     notes: tuple
 
 
-def _opens(space):
-    universe = frozenset(range(len(space.points)))
-    opens = {frozenset()}
-    for U in set(space.basis):
-        opens |= {o | U for o in opens}
-    opens.add(universe)
-    return opens, universe
-
-
 def spectral_report(space):
-    """Finite-scale spectrality certificate: T0 + sober + good basis."""
+    """Finite-scale spectrality certificate: T0 + sober + good basis.
+
+    A point's profile is the set of basic opens holding it; T0 means no two
+    profiles agree.  The closure of point i is {j : profile(j) <= profile(i)},
+    and in a finite space every irreducible closed set is a point closure,
+    so sober means no point closure has two generic points.
+    """
     npts = len(space.points)
     witnesses = []
     profiles = [frozenset(m for m, U in enumerate(space.basis) if i in U)
@@ -85,29 +82,19 @@ def spectral_report(space):
             witnesses.append(("t0", (i, j)))
             break
 
-    opens, universe = _opens(space)
-    closeds = {universe - o for o in opens}
-    closures = [frozenset.intersection(*(C for C in closeds if i in C))
+    closures = [frozenset(j for j in range(npts) if profiles[j] <= profiles[i])
                 for i in range(npts)]
     sober = True
-    closed_list = sorted(closeds, key=lambda C: (len(C), sorted(C)))
-    for C in closed_list:
-        if not C:
-            continue
-        reducible = any(A | B == C
-                        for A, B in combinations([D for D in closed_list
-                                                  if D < C], 2))
-        if reducible:
-            continue
+    for C in sorted(set(closures), key=_point_key):
         generics = [i for i in sorted(C) if closures[i] == C]
-        if len(generics) != 1:
+        if len(generics) > 1:
             sober = False
             witnesses.append(("sober", (tuple(sorted(C)), tuple(generics))))
             break
 
     basis_family = set(space.basis)
     basis_intersection_closed = True
-    for U, V in combinations(sorted(basis_family, key=lambda s: (len(s), sorted(s))), 2):
+    for U, V in combinations(sorted(basis_family, key=_point_key), 2):
         if U & V not in basis_family:
             basis_intersection_closed = False
             witnesses.append(("basis_intersection_closed",

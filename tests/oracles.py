@@ -89,3 +89,85 @@ def iterate_operator(c, N):
         if nxt == N:
             return N
         N = nxt
+
+
+def generated_opens(npts, basis):
+    """Every open of the topology on range(npts) generated by ``basis``.
+
+    The basis is first closed under pairwise intersection (the empty
+    intersection being the whole space); the opens are then all unions.
+    """
+    universe = frozenset(range(npts))
+    base = set(basis) | {universe}
+    while True:
+        more = {U & V for U in base for V in base} - base
+        if not more:
+            break
+        base |= more
+    opens = {frozenset()}
+    for U in base:
+        opens |= {o | U for o in opens}
+    return opens
+
+
+def spectral_by_definition(space):
+    """T0 and sober flags with witnesses, by exhaustive search.
+
+    Works on the topology generated by the space's basis: two points are
+    topologically indistinguishable when no open holds exactly one of them,
+    and every irreducible closed set (nonempty, not the union of two
+    smaller closed sets) must have exactly one generic point.  Returns
+    (t0, sober, witnesses) with the first failure of each, closed sets
+    taken in (size, sorted members) order.
+    """
+    npts = len(space.points)
+    opens = generated_opens(npts, space.basis)
+    witnesses = []
+    t0 = True
+    for i, j in combinations(range(npts), 2):
+        if not any((i in O) != (j in O) for O in opens):
+            t0 = False
+            witnesses.append(("t0", (i, j)))
+            break
+    universe = frozenset(range(npts))
+    closeds = sorted({universe - O for O in opens},
+                     key=lambda C: (len(C), sorted(C)))
+    closures = [frozenset.intersection(*(C for C in closeds if i in C))
+                for i in range(npts)]
+    sober = True
+    for C in closeds:
+        if not C:
+            continue
+        smaller = [D for D in closeds if D < C]
+        if any(A | B == C for A, B in combinations(smaller, 2)):
+            continue
+        generics = [i for i in sorted(C) if closures[i] == C]
+        if len(generics) != 1:
+            sober = False
+            witnesses.append(("sober", (tuple(sorted(C)), tuple(generics))))
+            break
+    return t0, sober, tuple(witnesses)
+
+
+def family_violation(p, members):
+    """The first family condition ``members`` violates, or None.
+
+    Conditions in order: every member is thick, the full module is a
+    member, pairwise intersections are members, and the union of every
+    nonempty directed subfamily (each pair has an upper bound inside it)
+    is a member.
+    """
+    members = frozenset(frozenset(f) for f in members)
+    ordered = sorted(members, key=lambda s: (len(s), sorted(s)))
+    if not all(thick_by_definition(p, f) for f in ordered):
+        return "thick"
+    if frozenset(range(p.n_objects)) not in members:
+        return "full-module"
+    if any(f & g not in members for f, g in combinations(ordered, 2)):
+        return "intersection"
+    for sub in all_subsets(ordered):
+        directed = all(any(a | b <= c for c in sub)
+                       for a, b in combinations(sub, 2))
+        if sub and directed and frozenset().union(*sub) not in members:
+            return "directed-union"
+    return None

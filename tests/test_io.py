@@ -80,6 +80,39 @@ def test_cli_validate_and_exit_codes(models_dir, tmp_path):
     assert main(["validate", "--model", str(garbage)]) == 2
 
 
+def _malformed(case, doc):
+    """``doc`` edited so that loading it reads one ill-shaped value."""
+    cat, ops = doc["category"], doc["operators"]
+    if case == "module-without-translate":
+        doc["module"] = {key: cat[key]
+                         for key in ("objects", "zero", "sum", "triangles")}
+        doc["module"]["action"] = cat["tensor"]
+    elif case == "division-without-s":
+        ops["bad"] = {"kind": "division"}
+    elif case == "operator-not-an-object":
+        ops["bad"] = 5
+    elif case == "short-translate":
+        cat["translate"].pop()
+    elif case == "two-entry-triangle":
+        cat["triangles"].append(["a", "b"])
+    else:
+        return {"top-level-number": 5, "top-level-null": None}[case]
+    return doc
+
+
+@pytest.mark.parametrize("case", [
+    "module-without-translate", "division-without-s", "operator-not-an-object",
+    "short-translate", "top-level-number", "top-level-null",
+    "two-entry-triangle"])
+def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
+    with open(model_path(models_dir, "support2")) as fh:
+        doc = _malformed(case, json.load(fh))
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_generate(models_dir, capsys):
     assert main(["generate", "--model", model_path(models_dir, "support2"),
                  "--seed", "a,b"]) == 0

@@ -1,12 +1,15 @@
+from time import perf_counter
+
 import pytest
 
 from ttg import (all_submodules, c_infinity, classify, division, from_family,
                  identity_operator, is_thick, principal, radical,
                  table_operator, validate_family)
-from ttg.operators import FamilyError, OperatorError, iterate_to_fixpoint
+from ttg.operators import FamilyError, OperatorError
 from ttg.presentation import support_model
 
-from oracles import all_subsets, division_scan, mult_closed_sets, radical_scan
+from oracles import (all_subsets, division_scan, family_violation,
+                     iterate_operator, mult_closed_sets, radical_scan)
 
 
 def full(p):
@@ -189,7 +192,7 @@ def test_c_infinity_of_idempotent_is_pointwise_equal(support2):
 def test_c_infinity_matches_direct_iteration(chain3, promote):
     ci = c_infinity(chain3, promote)
     for N in all_submodules(chain3):
-        assert ci.apply(N) == iterate_to_fixpoint(promote, N)
+        assert ci.apply(N) == iterate_operator(promote, N)
         assert ci.apply(N) == ci.apply(promote.apply(N))
 
 
@@ -227,3 +230,25 @@ def test_gated_fixed_points_form_valid_family(support2, chain3, promote):
         assert classify(p, c).gate
         fixed = [N for N in all_submodules(p) if c.apply(N) == N]
         validate_family(p, fixed)
+
+
+def test_validate_family_matches_oracle_on_every_subfamily(support2, chain3,
+                                                           support3):
+    for p in (support2, chain3, support3):
+        for F in all_subsets(all_submodules(p)):
+            try:
+                validate_family(p, F)
+                condition = None
+            except FamilyError as err:
+                condition = err.condition
+            assert condition == family_violation(p, F), sorted(map(sorted, F))
+
+
+def test_validate_family_of_all_support4_submodules():
+    # 16 members: a loop over every subfamily would take 2^16 steps
+    p = support_model(4)
+    subs = all_submodules(p)
+    started = perf_counter()
+    family = validate_family(p, subs)
+    assert perf_counter() - started < 2
+    assert family.members == frozenset(subs) and len(subs) == 16

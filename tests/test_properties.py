@@ -3,11 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttg import (add, bar, delta, generate, is_thick, principal, support_model,
-                 witnesses)
+from ttg import (add, bar, delta, generate, is_thick, principal,
+                 spectral_report, support_model, witnesses)
 from ttg.presentation import chain_model
+from ttg.space import SModSpace
 
-from oracles import minimal_thick_superset
+from oracles import minimal_thick_superset, spectral_by_definition
 
 SUPPORT3 = support_model(3)
 CHAIN4 = chain_model(4)
@@ -68,3 +69,20 @@ def test_principal_is_smallest(m):
     K = principal(SUPPORT3, m)
     assert m in K
     assert K == minimal_thick_superset(SUPPORT3, frozenset({m}))
+
+
+@st.composite
+def finite_spaces(draw):
+    """1-6 points with 1-6 arbitrary basic opens, intersection-closed or not."""
+    npts = draw(st.integers(1, 6))
+    basis = draw(st.lists(st.frozensets(st.integers(0, npts - 1)),
+                          min_size=1, max_size=6))
+    return SModSpace(tuple(frozenset({i}) for i in range(npts)), tuple(basis),
+                     frozenset())
+
+
+@given(finite_spaces())
+def test_spectral_t0_and_sober_match_exhaustive_oracle(space):
+    rep = spectral_report(space)
+    derived = tuple(w for w in rep.witnesses if w[0] in ("t0", "sober"))
+    assert (rep.t0, rep.sober, derived) == spectral_by_definition(space)

@@ -1,12 +1,16 @@
+import os
+from time import perf_counter
+
 import pytest
 
-from ttg import (basis_properties, division, enumerate_smod, fixed_points,
-                 from_family, identity_operator, radical, spectral_report,
-                 ultrafilter_check)
+from ttg import (basis_properties, classify, division, enumerate_smod,
+                 fixed_points, from_family, identity_operator, radical,
+                 spectral_report, ultrafilter_check)
+from ttg.docio import load
 from ttg.presentation import chain_model, support_model
 from ttg.space import SModSpace, make_space
 
-from oracles import brute_thick_sets
+from oracles import brute_thick_sets, spectral_by_definition
 
 
 def test_enumerate_support2(support2):
@@ -142,3 +146,30 @@ def test_spectral_gate_for_shipped_operators(support2, chain3, promote):
         fixed = fixed_points(enumerate_smod(p), c)
         assert spectral_report(fixed).spectral
         assert ultrafilter_check(fixed, c).passed
+
+
+def test_spectral_matches_exhaustive_oracle(models_dir):
+    cases = []
+    for name in ("support2", "support3", "chain3"):
+        p, operators, _ = load(os.path.join(models_dir, name + ".json"))
+        for c in [identity_operator(p)] + [operators[k] for k in sorted(operators)]:
+            if classify(p, c).gate:
+                cases.append((p, c))
+    support4 = support_model(4)
+    cases.append((support4, identity_operator(support4)))
+    for p, c in cases:
+        fixed = fixed_points(enumerate_smod(p), c)
+        rep = spectral_report(fixed)
+        derived = tuple(w for w in rep.witnesses if w[0] in ("t0", "sober"))
+        assert (rep.t0, rep.sober, derived) == spectral_by_definition(fixed)
+
+
+def test_spectral_support5_finishes():
+    # 32 points and 7581 opens: the exhaustive closed-set search in
+    # oracles.spectral_by_definition does not finish in 120 s on it
+    space = enumerate_smod(support_model(5))
+    assert len(space.points) == 32
+    started = perf_counter()
+    rep = spectral_report(space)
+    assert perf_counter() - started < 5
+    assert rep.spectral and rep.witnesses == ()
