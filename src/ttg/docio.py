@@ -32,142 +32,146 @@ def _resolver(names, where):
     index = {name: i for i, name in enumerate(names)}
 
     def resolve(token):
-        if token not in index:
+        try:
+            return index[token]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             raise DocumentError("unknown object name %r in %s" % (token, where))
-        return index[token]
     return resolve
 
 
-def _table(rows, resolve, n, what):
-    if len(rows) != n:
-        raise DocumentError("%s table must have %d rows" % (what, n))
-    out = []
-    for row in rows:
-        if len(row) != n:
-            raise DocumentError("%s table rows must have %d entries" % (what, n))
-        out.append(tuple(resolve(v) for v in row))
-    return tuple(out)
+def _list(value, what, length=None):
+    """``value`` if it is a JSON list, of ``length`` entries when given."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        raise DocumentError("%s must be a list%s" % (
+            what, "" if length is None else " of %d entries" % length))
+    return value
 
 
-def _require(sec, keys, where):
-    for key in keys:
+def _dict(value, what):
+    if not isinstance(value, dict):
+        raise DocumentError("%s must be a JSON object" % what)
+    return value
+
+
+def _table(rows, resolve, n_rows, n_cols, what):
+    return tuple(tuple(resolve(v) for v in _list(row, "%s table row" % what, n_cols))
+                 for row in _list(rows, "%s table" % what, n_rows))
+
+
+def _section(sec, where, keys, max_objects):
+    """Names, resolver, translation and rotation-closed triangles of a
+    category or module section, after checking the shape of each value."""
+    _dict(sec, where + " section")
+    for key in ("objects", "zero", "sum", "translate", "triangles") + keys:
         if key not in sec:
             raise DocumentError("%s section missing %r" % (where, key))
-
-
-def _translate_and_triangles(sec, resolve, n, where):
-    translate = tuple(resolve(v) for v in sec["translate"])
-    if len(translate) != n:
-        raise DocumentError("%s translate list must have %d entries" % (where, n))
+    names = tuple(_list(sec["objects"], where + " objects"))
+    if not all(isinstance(name, str) for name in names):
+        raise DocumentError("%s object names must be strings" % where)
+    if len(set(names)) != len(names):
+        raise DocumentError("duplicate object names in %s" % where)
+    if len(names) > max_objects:
+        raise ResourceError("%s has %d objects, over the limit %d"
+                            % (where, len(names), max_objects))
+    resolve = _resolver(names, where)
+    translate = tuple(resolve(v) for v in
+                      _list(sec["translate"], where + " translate", len(names)))
     triangles = set()
-    for t in sec["triangles"]:
-        if len(t) != 3:
+    for t in _list(sec["triangles"], where + " triangles"):
+        if not isinstance(t, list) or len(t) != 3:
             raise DocumentError("%s triangle %r must have 3 entries" % (where, t))
         triangles.add(tuple(resolve(v) for v in t))
-    return translate, rotation_closure(triangles, translate)
+    return names, resolve, translate, rotation_closure(triangles, translate)
 
 
 def _category_from_doc(sec, max_objects):
-    try:
-        names = tuple(sec["objects"])
-    except (KeyError, TypeError):
-        raise DocumentError("category section needs an 'objects' list")
-    if len(set(names)) != len(names):
-        raise DocumentError("duplicate object names in category")
-    if len(names) > max_objects:
-        raise ResourceError("model has %d objects, over the limit %d"
-                            % (len(names), max_objects))
-    resolve = _resolver(names, "category")
-    _require(sec, ("zero", "unit", "sum", "tensor", "translate", "triangles"),
-             "category")
+    names, resolve, translate, triangles = _section(
+        sec, "category", ("unit", "tensor"), max_objects)
     n = len(names)
-    translate, triangles = _translate_and_triangles(sec, resolve, n, "category")
     return CategoryPresentation(
         names=names,
         zero=resolve(sec["zero"]),
         unit=resolve(sec["unit"]),
-        sum=_table(sec["sum"], resolve, n, "sum"),
-        tensor=_table(sec["tensor"], resolve, n, "tensor"),
+        sum=_table(sec["sum"], resolve, n, n, "sum"),
+        tensor=_table(sec["tensor"], resolve, n, n, "tensor"),
         translate=translate,
         triangles=triangles,
     )
 
 
-def _module_from_doc(sec, base):
-    _require(sec, ("objects", "zero", "sum", "translate", "triangles", "action"),
-             "module")
-    names = tuple(sec["objects"])
-    if len(set(names)) != len(names):
-        raise DocumentError("duplicate object names in module")
-    resolve = _resolver(names, "module")
+def _module_from_doc(sec, base, max_objects):
+    names, resolve, translate, triangles = _section(
+        sec, "module", ("action",), max_objects)
     n = len(names)
-    translate, triangles = _translate_and_triangles(sec, resolve, n, "module")
-    action_rows = sec["action"]
-    if len(action_rows) != base.n_objects:
-        raise DocumentError("action table must have one row per category object")
-    action = []
-    for row in action_rows:
-        if len(row) != n:
-            raise DocumentError("action rows must have one entry per module object")
-        action.append(tuple(resolve(v) for v in row))
     return ModulePresentation(
         base=base,
         names=names,
         zero=resolve(sec["zero"]),
-        sum=_table(sec["sum"], resolve, n, "module sum"),
+        sum=_table(sec["sum"], resolve, n, n, "module sum"),
         translate=translate,
         triangles=triangles,
-        action=tuple(action),
+        action=_table(sec["action"], resolve, base.n_objects, n, "action"),
     )
 
 
+_NEEDS = {"identity": None, "radical": None, "division": "s",
+          "family": "members", "table": "table"}
+
+
 def _build_operator(p, name, spec):
-    if not isinstance(spec, dict):
-        raise DocumentError("operator %r must be a JSON object" % name)
-    resolve = _resolver(p.names, "operator %r" % name)
+    what = "operator %r" % name
+    _dict(spec, what)
+    resolve = _resolver(p.names, what)
+
+    def ids(value, part):
+        return frozenset(resolve(v) for v in _list(value, "%s %s" % (what, part)))
+
     kind = spec.get("kind")
-    needs = {"division": "s", "family": "members", "table": "table"}.get(kind)
+    if not isinstance(kind, str) or kind not in _NEEDS:
+        raise DocumentError("%s has unknown kind %r" % (what, kind))
+    needs = _NEEDS[kind]
     if needs and needs not in spec:
-        raise DocumentError("operator %r of kind %r needs %r" % (name, kind, needs))
+        raise DocumentError("%s of kind %r needs %r" % (what, kind, needs))
+    # Every key present is read, used by the kind or not, because
+    # normalize_document keeps and sorts each of them.
+    s = ids(spec["s"], "s") if "s" in spec else None
+    members = ([ids(f, "member") for f in _list(spec["members"], what + " members")]
+               if "members" in spec else None)
+    table = ({resolve(m): ids(vals, "entry")
+              for m, vals in _dict(spec["table"], what + " table").items()}
+             if "table" in spec else None)
     if kind == "identity":
         return identity_operator(p)
     if kind == "radical":
         return radical(p)
     if kind == "division":
-        return division(p, frozenset(resolve(s) for s in spec["s"]))
+        return division(p, s)
     if kind == "family":
-        members = [frozenset(resolve(m) for m in f) for f in spec["members"]]
         return from_family(p, members)
-    if kind == "table":
-        table = {resolve(m): frozenset(resolve(v) for v in vals)
-                 for m, vals in spec["table"].items()}
-        return table_operator(p, table)
-    raise DocumentError("operator %r has unknown kind %r" % (name, kind))
+    return table_operator(p, table)
 
 
 def load_document(doc, max_objects=16):
     """Build a validated presentation and named operators from a parsed doc."""
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
+    _dict(doc, "document")
     if "category" not in doc:
         raise DocumentError("document has no 'category' section")
     cat = _category_from_doc(doc["category"], max_objects)
     if "module" in doc:
-        if len(doc["module"].get("objects", ())) > max_objects:
-            raise ResourceError("module has too many objects")
-        p = _module_from_doc(doc["module"], cat)
+        p = _module_from_doc(doc["module"], cat, max_objects)
     else:
         p = self_module(cat)
     report = validate(p)
     if not report.ok:
         raise ModelInvalidError(["%s: %s witness=%r" % (v.rule, v.message, v.witness)
                                  for v in report.violations])
+    specs = _dict(doc.get("operators", {}), "operators section")
     operators = {}
-    for name in sorted(doc.get("operators", {})):
+    for name in sorted(specs):
         if name == "identity":
             raise DocumentError("operator name 'identity' is reserved")
         try:
-            operators[name] = _build_operator(p, name, doc["operators"][name])
+            operators[name] = _build_operator(p, name, specs[name])
         except OperatorError as exc:
             raise DocumentError("operator %r: %s" % (name, exc))
     return p, operators

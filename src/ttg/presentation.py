@@ -117,7 +117,7 @@ def rotation_closure(triples, translate):
     return frozenset(closed)
 
 
-def _check_table(report_raise, table, rows, cols, what):
+def _check_table(bound, table, rows, cols, what):
     if len(table) != rows:
         raise StructuralError("%s table has %d rows, expected %d" % (what, len(table), rows))
     for i, row in enumerate(table):
@@ -125,7 +125,7 @@ def _check_table(report_raise, table, rows, cols, what):
             raise StructuralError("%s table row %d has %d entries, expected %d"
                                   % (what, i, len(row), cols))
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < report_raise):
+            if not isinstance(v, int) or not (0 <= v < bound):
                 raise StructuralError("%s[%d][%d] = %r is out of range" % (what, i, j, v))
 
 
@@ -133,6 +133,7 @@ def _validate_category(cat, report):
     n = cat.n_objects
     _check_table(n, cat.sum, n, n, "sum")
     _check_table(n, cat.tensor, n, n, "tensor")
+    # A bijection is invertible: this is the whole translate-inverse axiom.
     if len(cat.translate) != n or sorted(cat.translate) != list(range(n)):
         raise StructuralError("translate is not a bijection on category objects")
     for t in cat.triangles:
@@ -163,12 +164,6 @@ def _validate_category(cat, report):
                     report.add("tensor-associative", "(xy)z != x(yz)", x, y, z)
                 if cat.tensor[z][cat.sum[x][y]] != cat.sum[cat.tensor[z][x]][cat.tensor[z][y]]:
                     report.add("tensor-distributive", "z(x+y) != zx+zy", x, y, z)
-    inverse = [0] * n
-    for x in rng:
-        inverse[cat.translate[x]] = x
-    for x in rng:
-        if inverse[cat.translate[x]] != x:
-            report.add("translate-inverse", "T inverse broken", x)
     _check_rotation_closure(cat.triangles, cat.translate, cat.zero, n, report)
 
 
@@ -244,17 +239,24 @@ def validate(p):
     return report
 
 
+def _decompositions(p):
+    """The summand table: for each object x, the pairs (n, least n2) with
+    n + n2 = x, one per summand n, in increasing n.  One pass over the sum
+    table."""
+    table = [[] for _ in range(p.n_objects)]
+    for n, row in enumerate(p.sum):
+        seen = set()
+        for n2, x in enumerate(row):
+            if x not in seen:
+                seen.add(x)
+                table[x].append((n, n2))
+    return table
+
+
 def summands(p, x):
     """All n with n + n' = x for some n' in the module sum table."""
     p.check_object(x)
-    out = set()
-    for n in range(p.n_objects):
-        row = p.sum[n]
-        for n2 in range(p.n_objects):
-            if row[n2] == x:
-                out.add(n)
-                break
-    return frozenset(out)
+    return frozenset(n for n, _ in _decompositions(p)[x])
 
 
 def self_module(cat):

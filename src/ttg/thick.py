@@ -8,7 +8,7 @@ certificate from which finite witness sets are extracted.
 
 from dataclasses import dataclass
 
-from .presentation import summands
+from .presentation import _decompositions
 
 
 class GenerationError(Exception):
@@ -50,11 +50,17 @@ class GenerationCertificate:
     records: dict  # object id -> Provenance
 
 
+def _checked(p, X):
+    """X as a frozenset, after checking that every id is a module object."""
+    X = frozenset(X)
+    for m in X:
+        p.check_object(m)
+    return X
+
+
 def is_thick(p, s):
     """Decide the four thick-submodule conditions, with a violation witness."""
-    s = frozenset(s)
-    for x in s:
-        p.check_object(x)
+    s = _checked(p, s)
     if p.zero not in s:
         return ThickCheck(False, "zero", (p.zero,))
     for a in range(p.base.n_objects):
@@ -77,88 +83,74 @@ def is_thick(p, s):
     return ThickCheck(True)
 
 
+def _bar_steps(p, X, dec):
+    """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in X.
+
+    Walks m in increasing order, then a, then n; ``dec`` is
+    ``_decompositions(p)``, so the cofactor is the least n2 with
+    n + n2 = a * m.
+    """
+    for m in sorted(X):
+        for a in range(p.base.n_objects):
+            for n, cofactor in dec[p.action[a][m]]:
+                yield n, (a, m, cofactor)
+
+
+def _delta_steps(p, X):
+    """Yield (n, (t, pred1, pred2)) for each triangle position whose other
+    two entries lie in X, triangles in sorted order."""
+    for t in sorted(p.triangles):
+        for k in range(3):
+            pred1, pred2 = t[(k + 1) % 3], t[(k + 2) % 3]
+            if pred1 in X and pred2 in X:
+                yield t[k], (t, pred1, pred2)
+
+
 def bar(p, X):
     """Summands of all a * m with m in X: one application of the closure step."""
-    out = set()
-    for m in X:
-        p.check_object(m)
-    for m in X:
-        for a in range(p.base.n_objects):
-            out |= summands(p, p.action[a][m])
-    return frozenset(out)
+    X = _checked(p, X)
+    return frozenset(n for n, _ in _bar_steps(p, X, _decompositions(p)))
 
 
 def delta(p, X):
     """Objects completing a stored triangle whose other two entries lie in X."""
-    X = frozenset(X)
-    for m in X:
-        p.check_object(m)
-    out = set()
-    for t in p.triangles:
-        for k in range(3):
-            if t[(k + 1) % 3] in X and t[(k + 2) % 3] in X:
-                out.add(t[k])
-    return frozenset(out)
-
-
-def _cofactor(p, n, target):
-    for n2 in range(p.n_objects):
-        if p.sum[n][n2] == target:
-            return n2
-    raise GenerationError("no cofactor for %d in %d" % (n, target))
+    X = _checked(p, X)
+    return frozenset(n for n, _ in _delta_steps(p, X))
 
 
 def generate(p, X):
     """Smallest thick submodule containing X, with a provenance certificate.
 
     Iterates X_{i+1} = delta(bar(X_i)) from X_0 = X united with {zero}; the
-    zero seed makes delta monotone from stage 0.  Stabilizes within
-    |objects| iterations since membership only grows.
+    zero seed makes delta monotone from stage 0.  Each stage runs the bar
+    steps over X_i, then the delta steps over the members after the bar
+    pass, recording the first step that reaches each new object.
+    Stabilizes within |objects| iterations since membership only grows.
     """
-    X = frozenset(X)
-    for m in X:
-        p.check_object(m)
-    members = set(X) | {p.zero}
-    records = {}
-    order = 0
-    for m in sorted(members):
-        records[m] = Provenance("seed", 0, order, ())
-        order += 1
+    X = _checked(p, X)
+    dec = _decompositions(p)
+    records = {}  # insertion order is discovery order
+    for m in sorted(X | {p.zero}):
+        records[m] = Provenance("seed", 0, len(records), ())
     stage = 0
     while True:
         stage += 1
-        before = frozenset(members)
-        # bar pass over X_i
-        for m in sorted(before):
-            for a in range(p.base.n_objects):
-                target = p.action[a][m]
-                for n in sorted(summands(p, target)):
-                    if n not in members:
-                        members.add(n)
-                        records[n] = Provenance(
-                            "bar", stage, order, (a, m, _cofactor(p, n, target)))
-                        order += 1
-        bar_set = frozenset(members)
-        # delta pass over bar(X_i)
-        for t in sorted(p.triangles):
-            for k in range(3):
-                m_new = t[k]
-                if (m_new not in members
-                        and t[(k + 1) % 3] in bar_set and t[(k + 2) % 3] in bar_set):
-                    members.add(m_new)
-                    records[m_new] = Provenance(
-                        "delta", stage, order, (t, t[(k + 1) % 3], t[(k + 2) % 3]))
-                    order += 1
-        if frozenset(members) == before:
+        before = len(records)
+        for kind in ("bar", "delta"):
+            S = frozenset(records)
+            steps = _bar_steps(p, S, dec) if kind == "bar" else _delta_steps(p, S)
+            for n, data in steps:
+                if n not in records:
+                    records[n] = Provenance(kind, stage, len(records), data)
+        if len(records) == before:
             break
-    return frozenset(members), GenerationCertificate(seed=X, records=records)
+    return frozenset(records), GenerationCertificate(seed=X, records=records)
 
 
 def principal(p, m):
     """K(m): the smallest thick submodule containing the single object m."""
     p.check_object(m)
-    members, _ = generate(p, frozenset([m]))
-    return members
+    return generate(p, {m})[0]
 
 
 def witnesses(cert, m, X):
@@ -191,8 +183,7 @@ def witnesses(cert, m, X):
 
 def add(p, N, N2):
     """N + N': the smallest thick submodule containing both."""
-    members, _ = generate(p, frozenset(N) | frozenset(N2))
-    return members
+    return generate(p, frozenset(N) | frozenset(N2))[0]
 
 
 def all_submodules(p):

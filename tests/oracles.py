@@ -43,6 +43,17 @@ def minimal_thick_superset(p, X):
     return frozenset.intersection(*supersets)
 
 
+def summands_by_scan(p, x):
+    """Every n with n + n2 = x for some n2, by scanning the sum table."""
+    return frozenset(n for n in range(p.n_objects)
+                     if any(p.sum[n][n2] == x for n2 in range(p.n_objects)))
+
+
+def least_cofactor(p, n, x):
+    """The least n2 with n + n2 = x, or None."""
+    return next((n2 for n2 in range(p.n_objects) if p.sum[n][n2] == x), None)
+
+
 def radical_scan(p, ideal):
     """Direct power scan: a is in the radical iff some tensor power lies in
     the ideal; powers walked until the orbit repeats."""

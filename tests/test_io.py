@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -95,6 +96,24 @@ def _malformed(case, doc):
         cat["translate"].pop()
     elif case == "two-entry-triangle":
         cat["triangles"].append(["a", "b"])
+    elif case == "module-is-a-list":
+        doc["module"] = [cat]
+    elif case == "operators-is-a-list":
+        doc["operators"] = sorted(ops)
+    elif case == "table-operator-with-list-table":
+        ops["bad"] = {"kind": "table", "table": [["z", ["z"]]]}
+    elif case == "number-triangle":
+        cat["triangles"].append(5)
+    elif case == "number-sum-row":
+        cat["sum"][1] = 5
+    elif case == "list-zero":
+        cat["zero"] = ["z"]
+    elif case == "number-division-s":
+        ops["bad"] = {"kind": "division", "s": 5}
+    elif case == "list-operator-kind":
+        ops["bad"] = {"kind": ["table"]}
+    elif case == "radical-with-number-table":
+        ops["bad"] = {"kind": "radical", "table": 5}
     else:
         return {"top-level-number": 5, "top-level-null": None}[case]
     return doc
@@ -103,7 +122,10 @@ def _malformed(case, doc):
 @pytest.mark.parametrize("case", [
     "module-without-translate", "division-without-s", "operator-not-an-object",
     "short-translate", "top-level-number", "top-level-null",
-    "two-entry-triangle"])
+    "two-entry-triangle", "module-is-a-list", "operators-is-a-list",
+    "table-operator-with-list-table", "number-triangle", "number-sum-row",
+    "list-zero", "number-division-s", "list-operator-kind",
+    "radical-with-number-table"])
 def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
     with open(model_path(models_dir, "support2")) as fh:
         doc = _malformed(case, json.load(fh))
@@ -163,3 +185,15 @@ def test_cli_report_structured_output(models_dir, tmp_path):
     assert data["passed"] is True
     names = {c["name"] for c in data["checks"]}
     assert "operator:identity" in names and "operator:saturate" in names
+
+
+@pytest.mark.parametrize("name", ["support2", "support3", "chain3"])
+def test_cli_report_bytes_match_benchmark_golden(models_dir, tmp_path, name):
+    """``ttg report --out`` on a shipped model is byte-identical to the
+    report whose sha256 the benchmark's golden file records."""
+    with open(os.path.join(models_dir, "..", "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)["jobs"]["report/" + name]
+    out = tmp_path / "report.json"
+    assert main(["report", "--model", model_path(models_dir, name),
+                 "--out", str(out)]) == golden["rc"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["out_sha256"]

@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import pytest
 
-from ttg import (add, all_submodules, bar, delta, generate, is_thick,
-                 principal, witnesses)
+from ttg import (add, all_submodules, bar, chain_model, delta, generate,
+                 is_thick, principal, summands, support_model, witnesses)
 from ttg.presentation import UnknownObjectError
 from ttg.thick import GenerationError
 
-from oracles import brute_thick_sets, minimal_thick_superset
+from oracles import (brute_thick_sets, least_cofactor,
+                     minimal_thick_superset, summands_by_scan)
 
 
 def test_is_thick_examples(support2):
@@ -85,15 +88,35 @@ def test_generate_output_is_thick(support3):
             assert is_thick(support3, members)
 
 
-def test_certificate_orders_strictly_increase(support3):
-    members, cert = generate(support3, {3, 5})
-    for m in members:
-        rec = cert.records[m]
-        if rec.kind == "bar":
-            assert cert.records[rec.data[1]].order < rec.order
-        elif rec.kind == "delta":
-            for pred in rec.data[1:]:
-                assert cert.records[pred].order < rec.order
+def test_certificate_orders_strictly_increase(support2, support3, chain3):
+    models = (support2, support3, chain3, support_model(4), chain_model(10))
+    for p in models:
+        for X in combinations(range(p.n_objects), 2):
+            members, cert = generate(p, X)
+            for n in members:
+                rec = cert.records[n]
+                if rec.kind == "bar":
+                    a, m, cof = rec.data
+                    assert cert.records[m].order < rec.order
+                    assert p.sum[n][cof] == p.action[a][m]
+                    assert cof == least_cofactor(p, n, p.action[a][m])
+                elif rec.kind == "delta":
+                    t, x, y = rec.data
+                    assert t in p.triangles
+                    assert any(t[k:] + t[:k] == (n, x, y) for k in range(3))
+                    for pred in (x, y):
+                        assert cert.records[pred].order < rec.order
+
+
+def test_summands_and_bar_match_scan(support2, support3, chain3):
+    for p in (support2, support3, chain3, support_model(4)):
+        n = p.n_objects
+        for x in range(n):
+            assert summands(p, x) == summands_by_scan(p, x)
+        for X in combinations(range(n), 2):
+            assert bar(p, X) == frozenset().union(*(
+                summands_by_scan(p, p.action[a][m])
+                for m in X for a in range(p.base.n_objects)))
 
 
 def test_principal_examples(support2):
