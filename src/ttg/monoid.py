@@ -9,9 +9,9 @@ reaches a given basis witness.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .operators import c_infinity, classify
+from .operators import classify
 from .space import enumerate_smod, fixed_points
-from .thick import add, principal
+from .thick import _checked, add
 
 
 class MonoidError(Exception):
@@ -28,7 +28,7 @@ def _fixed_space(c):
 
 
 def _require_fixed(c, N):
-    N = frozenset(N)
+    N = _checked(c.presentation, N)
     if c.apply(N) != N:
         raise MonoidError("submodule %r is not fixed by the operator" % (sorted(N),))
     return N
@@ -38,8 +38,7 @@ def monoid_op(c, N, N2):
     """Completed join of two fixed points; lands in the fixed-point space."""
     N = _require_fixed(c, N)
     N2 = _require_fixed(c, N2)
-    cinf = c_infinity(c.presentation, c)
-    return cinf.apply(add(c.presentation, N, N2))
+    return c.completion.apply(add(c.presentation, N, N2))
 
 
 def identity_element(c):
@@ -48,8 +47,7 @@ def identity_element(c):
     Neutrality is verified against every point; a failure would falsify
     the monoid structure on this instance and raises."""
     p = c.presentation
-    cinf = c_infinity(p, c)
-    e = cinf.apply(principal(p, p.zero))
+    e = c.completion.apply(p.principals[p.zero])
     for N in _fixed_space(c).points:
         if monoid_op(c, e, N) != N:
             raise MonoidInvariantError(
@@ -60,12 +58,12 @@ def identity_element(c):
 def _principal_joins(c, N):
     """c^inf(N + K(m2)) for every object m2, in object order."""
     p = c.presentation
-    cinf = c_infinity(p, c)
-    return [cinf.apply(add(p, N, principal(p, m2))) for m2 in range(p.n_objects)]
+    return [c.completion.apply(add(p, N, K)) for K in p.principals]
 
 
 def nc_set(c, N, m):
     """Objects whose principal submodule joined onto N reaches m."""
+    c.presentation.check_object(m)
     N = _require_fixed(c, N)
     return frozenset(m2 for m2, J in enumerate(_principal_joins(c, N)) if m in J)
 

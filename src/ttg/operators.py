@@ -7,11 +7,11 @@ family-induced closure, user tables, and the iterated completion.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .presentation import is_self_module
-from .thick import all_submodules, generate, is_thick, principal
+from .thick import all_submodules, generate, is_thick
 
 
 class OperatorError(Exception):
@@ -47,6 +47,11 @@ class OperatorSpec:
             result, _ = generate(self.presentation, result)
         return result
 
+    @cached_property
+    def completion(self):
+        """c^inf of this operator, computed once (see ``c_infinity``)."""
+        return c_infinity(self.presentation, self)
+
 
 @dataclass(frozen=True)
 class OperatorClassification:
@@ -75,8 +80,7 @@ class FamilySpec:
 
 
 def identity_operator(p):
-    return OperatorSpec("identity", p,
-                        tuple(principal(p, m) for m in range(p.n_objects)))
+    return OperatorSpec("identity", p, p.principals)
 
 
 def power_orbit(cat, a):
@@ -95,12 +99,10 @@ def radical(p):
         raise OperatorError("radical requires K acting on itself")
     cat = p.base
     orbits = [power_orbit(cat, a) for a in range(p.n_objects)]
-    table = []
-    for m in range(p.n_objects):
-        ideal = principal(p, m)
-        table.append(frozenset(a for a in range(p.n_objects)
-                               if any(x in ideal for x in orbits[a])))
-    return OperatorSpec("radical", p, tuple(table))
+    table = tuple(frozenset(a for a in range(p.n_objects)
+                            if any(x in ideal for x in orbits[a]))
+                  for ideal in p.principals)
+    return OperatorSpec("radical", p, table)
 
 
 def division(p, S):
@@ -118,12 +120,10 @@ def division(p, S):
                 raise OperatorError(
                     "S is not multiplicatively closed: %s tensor %s escapes"
                     % (p.object_name(s), p.object_name(s2)))
-    table = []
-    for m in range(p.n_objects):
-        ideal = principal(p, m)
-        table.append(frozenset(a for a in range(p.n_objects)
-                               if any(cat.tensor[a][s] in ideal for s in S)))
-    return OperatorSpec("division", p, tuple(table))
+    table = tuple(frozenset(a for a in range(p.n_objects)
+                            if any(cat.tensor[a][s] in ideal for s in S))
+                  for ideal in p.principals)
+    return OperatorSpec("division", p, table)
 
 
 def validate_family(p, members):
@@ -206,8 +206,7 @@ def classify(p, c):
             idempotent = False
             witnesses.append(("idempotent", tuple(sorted(N))))
         if finite_type:
-            union = frozenset().union(*(c.apply(principal(p, n)) for n in N)) \
-                if N else frozenset()
+            union = frozenset().union(*(values[p.principals[n]] for n in N))
             if union != values[N]:
                 finite_type = False
                 witnesses.append(("finite_type", tuple(sorted(N))))
@@ -224,7 +223,6 @@ def classify(p, c):
                                   finite_type, tuple(witnesses))
 
 
-@lru_cache(maxsize=None)
 def c_infinity(p, c):
     """Union of all iterates of c, materialized as a finite-type operator.
 
@@ -240,8 +238,7 @@ def c_infinity(p, c):
                     ("finite-type", cls.finite_type)] if not ok]
         raise OperatorError("c-infinity requires %s" % ", ".join(failing))
     table = []
-    for m in range(p.n_objects):
-        N = principal(p, m)
+    for N in p.principals:
         while True:
             nxt = c.apply(N)
             if nxt == N:

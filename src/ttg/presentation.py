@@ -8,6 +8,7 @@ share.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 MAX_OBJECTS_DEFAULT = 16
@@ -54,7 +55,8 @@ class ModulePresentation:
 
     ``action[a][m]`` is the object a * m for a in the base category and m in
     the module.  When K acts on itself the module tables mirror the base and
-    the action table equals the tensor table.
+    the action table equals the tensor table.  Derived tables are computed on
+    first use and kept, as shared tuples, outside the hashed fields.
     """
 
     base: CategoryPresentation
@@ -75,6 +77,32 @@ class ModulePresentation:
     def check_object(self, x):
         if not isinstance(x, int) or not (0 <= x < len(self.names)):
             raise UnknownObjectError("unknown module object id: %r" % (x,))
+
+    @cached_property
+    def decompositions(self):
+        """The summand table: for each object x, the pairs (n, least n2)
+        with n + n2 = x, one per summand n, in increasing n."""
+        table = [[] for _ in range(self.n_objects)]
+        for n, row in enumerate(self.sum):
+            seen = set()
+            for n2, x in enumerate(row):
+                if x not in seen:
+                    seen.add(x)
+                    table[x].append((n, n2))
+        return tuple(map(tuple, table))
+
+    @cached_property
+    def triangle_positions(self):
+        """(t, t[k], t[k+1], t[k+2]) for each position k of each stored
+        triangle t, indices mod 3, triangles in sorted order."""
+        return tuple((t, t[k], t[(k + 1) % 3], t[(k + 2) % 3])
+                     for t in sorted(self.triangles) for k in range(3))
+
+    @cached_property
+    def principals(self):
+        """K(m), the principal thick submodule, for every object m."""
+        from .thick import generate  # thick imports this module
+        return tuple(generate(self, {m})[0] for m in range(self.n_objects))
 
 
 @dataclass(frozen=True)
@@ -239,24 +267,10 @@ def validate(p):
     return report
 
 
-def _decompositions(p):
-    """The summand table: for each object x, the pairs (n, least n2) with
-    n + n2 = x, one per summand n, in increasing n.  One pass over the sum
-    table."""
-    table = [[] for _ in range(p.n_objects)]
-    for n, row in enumerate(p.sum):
-        seen = set()
-        for n2, x in enumerate(row):
-            if x not in seen:
-                seen.add(x)
-                table[x].append((n, n2))
-    return table
-
-
 def summands(p, x):
     """All n with n + n' = x for some n' in the module sum table."""
     p.check_object(x)
-    return frozenset(n for n, _ in _decompositions(p)[x])
+    return frozenset(n for n, _ in p.decompositions[x])
 
 
 def self_module(cat):

@@ -8,7 +8,6 @@ the fixed-point construction over every principal ultrafilter.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .thick import all_submodules, is_thick
@@ -34,7 +33,6 @@ def make_space(points, n_objects):
     return SModSpace(points, basis, spec)
 
 
-@lru_cache(maxsize=None)
 def enumerate_smod(p):
     """All thick submodules of p with the U(m) basis."""
     return make_space(all_submodules(p), p.n_objects)

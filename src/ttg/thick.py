@@ -8,8 +8,6 @@ certificate from which finite witness sets are extracted.
 
 from dataclasses import dataclass
 
-from .presentation import _decompositions
-
 
 class GenerationError(Exception):
     pass
@@ -83,33 +81,30 @@ def is_thick(p, s):
     return ThickCheck(True)
 
 
-def _bar_steps(p, X, dec):
+def _bar_steps(p, X):
     """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in X.
 
-    Walks m in increasing order, then a, then n; ``dec`` is
-    ``_decompositions(p)``, so the cofactor is the least n2 with
-    n + n2 = a * m.
+    Walks m in increasing order, then a, then n; the cofactor is the least
+    n2 with n + n2 = a * m, read from ``p.decompositions``.
     """
     for m in sorted(X):
         for a in range(p.base.n_objects):
-            for n, cofactor in dec[p.action[a][m]]:
+            for n, cofactor in p.decompositions[p.action[a][m]]:
                 yield n, (a, m, cofactor)
 
 
 def _delta_steps(p, X):
     """Yield (n, (t, pred1, pred2)) for each triangle position whose other
     two entries lie in X, triangles in sorted order."""
-    for t in sorted(p.triangles):
-        for k in range(3):
-            pred1, pred2 = t[(k + 1) % 3], t[(k + 2) % 3]
-            if pred1 in X and pred2 in X:
-                yield t[k], (t, pred1, pred2)
+    for t, n, pred1, pred2 in p.triangle_positions:
+        if pred1 in X and pred2 in X:
+            yield n, (t, pred1, pred2)
 
 
 def bar(p, X):
     """Summands of all a * m with m in X: one application of the closure step."""
     X = _checked(p, X)
-    return frozenset(n for n, _ in _bar_steps(p, X, _decompositions(p)))
+    return frozenset(n for n, _ in _bar_steps(p, X))
 
 
 def delta(p, X):
@@ -128,7 +123,6 @@ def generate(p, X):
     Stabilizes within |objects| iterations since membership only grows.
     """
     X = _checked(p, X)
-    dec = _decompositions(p)
     records = {}  # insertion order is discovery order
     for m in sorted(X | {p.zero}):
         records[m] = Provenance("seed", 0, len(records), ())
@@ -138,7 +132,7 @@ def generate(p, X):
         before = len(records)
         for kind in ("bar", "delta"):
             S = frozenset(records)
-            steps = _bar_steps(p, S, dec) if kind == "bar" else _delta_steps(p, S)
+            steps = _bar_steps(p, S) if kind == "bar" else _delta_steps(p, S)
             for n, data in steps:
                 if n not in records:
                     records[n] = Provenance(kind, stage, len(records), data)
@@ -150,7 +144,7 @@ def generate(p, X):
 def principal(p, m):
     """K(m): the smallest thick submodule containing the single object m."""
     p.check_object(m)
-    return generate(p, {m})[0]
+    return p.principals[m]
 
 
 def witnesses(cert, m, X):
@@ -193,5 +187,4 @@ def all_submodules(p):
     of its members (summand biconditional plus finiteness); cross-checked
     against brute-force subset filtering in the tests.
     """
-    subs = {principal(p, m) for m in range(p.n_objects)}
-    return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted(set(p.principals), key=lambda s: (len(s), sorted(s))))

@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttg import support_model
 from ttg.cli import main
@@ -197,3 +202,64 @@ def test_cli_report_bytes_match_benchmark_golden(models_dir, tmp_path, name):
     assert main(["report", "--model", model_path(models_dir, name),
                  "--out", str(out)]) == golden["rc"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["out_sha256"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.text(max_size=3),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=4)
+OPERATOR_COMMANDS = ("operators", "spectral", "ultrafilter", "monoid")
+SUBCOMMANDS = ("validate", "generate", "witness", "smod", "report") + OPERATOR_COMMANDS
+
+
+def _slots(node):
+    """Every (container, key) pair at or below the container ``node``."""
+    for key, child in list(node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["support2", "support3", "chain3"]), data=st.data())
+def test_cli_never_raises_on_mutated_documents(models_dir, name, data):
+    """Up to three random edits (replace, delete or insert a value at a
+    random path) of a shipped document, then a random subcommand: the CLI
+    returns an exit code and raises nothing."""
+    with open(model_path(models_dir, name)) as fh:
+        doc = json.load(fh)
+    objects = doc["category"]["objects"][:]
+    operators = ["identity"] + sorted(doc.get("operators", {}))
+    values = JSON_VALUES | st.sampled_from(objects)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "delete":
+            del node[key]
+        elif edit == "replace":
+            node[key] = data.draw(values)
+        elif isinstance(node, list):
+            node.insert(key, data.draw(values))
+        else:
+            node[data.draw(st.text(max_size=8))] = data.draw(values)
+    command = data.draw(st.sampled_from(SUBCOMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, "--model", path]
+        if command in ("generate", "witness"):
+            argv += ["--seed", data.draw(st.sampled_from(objects))]
+        if command == "witness":
+            argv += ["--target", data.draw(st.sampled_from(objects))]
+        if command in OPERATOR_COMMANDS:
+            argv += ["--operator", data.draw(st.sampled_from(operators))]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 1, 2)

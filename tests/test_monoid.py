@@ -4,6 +4,7 @@ from ttg import (continuity_check, enumerate_smod, fixed_points, from_family,
                  identity_element, identity_operator, monoid_op, monoid_report,
                  nc_set)
 from ttg.monoid import MonoidError
+from ttg.presentation import UnknownObjectError
 
 
 def test_monoid_op_identity_operator(support2):
@@ -93,3 +94,19 @@ def test_monoid_report_promote(chain3, promote):
 def test_monoid_operation_idempotent(chain3, promote):
     rep = monoid_report(promote)
     assert rep.idempotent
+
+
+@pytest.mark.parametrize("bad", [99, -1, "a"])
+def test_monoid_entry_points_reject_unknown_ids(support2, bad):
+    c = identity_operator(support2)
+    full = frozenset(range(4))
+    with pytest.raises(UnknownObjectError):
+        nc_set(c, full, bad)
+    with pytest.raises(UnknownObjectError):
+        nc_set(c, {bad}, 0)
+    with pytest.raises(UnknownObjectError):
+        monoid_op(c, {bad}, full)
+    with pytest.raises(UnknownObjectError):
+        monoid_op(c, full, {bad})
+    with pytest.raises(UnknownObjectError):
+        continuity_check(c, {bad})

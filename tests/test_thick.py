@@ -1,9 +1,12 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
 
-from ttg import (add, all_submodules, bar, chain_model, delta, generate,
-                 is_thick, principal, summands, support_model, witnesses)
+from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
+                 generate, identity_operator, is_thick, monoid_report,
+                 principal, summands, support_model, witnesses)
 from ttg.presentation import UnknownObjectError
 from ttg.thick import GenerationError
 
@@ -181,3 +184,27 @@ def test_finite_principality(support3):
         for m in sorted(N):
             total = support3.sum[total][m]
         assert principal(support3, total) == N
+
+
+def test_principal_table_matches_oracle(support2, support3, chain3):
+    for p in (support2, support3, chain3, chain_model(6)):
+        for m in range(p.n_objects):
+            assert p.principals[m] == minimal_thick_superset(p, {m})
+
+
+def test_derived_tables_are_tuples(support3):
+    assert isinstance(support3.decompositions, tuple)
+    assert all(isinstance(row, tuple) for row in support3.decompositions)
+    assert isinstance(support3.triangle_positions, tuple)
+    assert isinstance(support3.principals, tuple)
+
+
+def test_model_is_freed_after_last_reference():
+    p = support_model(3)
+    c = identity_operator(p)
+    monoid_report(c)
+    enumerate_smod(p)
+    refs = [weakref.ref(p), weakref.ref(c)]
+    del p, c
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
