@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .presentation import is_self_module
-from .thick import all_submodules, generate, is_thick
+from .thick import _checked, _closure, all_submodules, is_thick
 
 
 class OperatorError(Exception):
@@ -31,7 +31,7 @@ class OperatorSpec:
 
     ``apply`` takes and returns member frozensets.  For table-defined
     operators the raw union of principals may fail thickness; those carry
-    repair=True and get a generation-closure pass, recorded on the spec.
+    repair=True and return its thick closure.
     """
     kind: str
     presentation: object
@@ -39,13 +39,10 @@ class OperatorSpec:
     repair: bool = False
 
     def apply(self, N):
-        out = set()
-        for n in N:
-            out |= self.principal_table[n]
-        result = frozenset(out)
-        if self.repair and not is_thick(self.presentation, result):
-            result, _ = generate(self.presentation, result)
-        return result
+        p = self.presentation
+        result = frozenset().union(*(self.principal_table[n]
+                                     for n in _checked(p, N)))
+        return _closure(p, result) if self.repair else result
 
     @cached_property
     def completion(self):
@@ -171,7 +168,7 @@ def table_operator(p, table):
     """Finite-type operator from an explicit principal table.
 
     ``table`` maps every object to a thick submodule containing it; raw
-    unions that fail thickness are repaired by generation closure.
+    unions that fail thickness are replaced by their thick closure.
     """
     tab = []
     for m in range(p.n_objects):

@@ -175,9 +175,22 @@ def witnesses(cert, m, X):
     return frozenset(leaves)
 
 
+def _closure(p, X):
+    """The smallest thick submodule containing X: K(g), g the sum of X.
+
+    A thick submodule holding X holds g, by sum closure; K(g) holds every
+    summand of g, so every member of X, by summand closure.  Both steps use
+    only the sum axioms that ``validate`` checks.
+    """
+    g = p.zero
+    for m in sorted(_checked(p, X)):
+        g = p.sum[g][m]
+    return p.principals[g]
+
+
 def add(p, N, N2):
     """N + N': the smallest thick submodule containing both."""
-    return generate(p, frozenset(N) | frozenset(N2))[0]
+    return _closure(p, frozenset(N) | frozenset(N2))
 
 
 def all_submodules(p):

@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from ttg import chain_model, support_model, table_operator
+from ttg import (CategoryPresentation, chain_model, self_module, support_model,
+                 table_operator)
+from ttg.presentation import rotation_closure
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -23,6 +25,36 @@ def support3():
 @pytest.fixture(scope="session")
 def chain3():
     return chain_model(3)
+
+
+def graded_support_model(n):
+    """K acting on itself, K the pairs (A, B) of subsets of n atoms: sum is
+    componentwise union, T swaps A and B, (A, B) * (C, D) is
+    (A&C | B&D, A&D | B&C), the unit is (full, empty) and the triangles are
+    (x, x + y, y), closed under rotation.  Object A + B * 2**n is (A, B)."""
+    size = 1 << n
+    pairs = [(x % size, x // size) for x in range(size * size)]
+    index = {pair: x for x, pair in enumerate(pairs)}
+    objs = range(len(pairs))
+    tensor = tuple(tuple(index[(a & c | b & d, a & d | b & c)]
+                         for c, d in pairs) for a, b in pairs)
+    translate = tuple(index[(b, a)] for a, b in pairs)
+    cat = CategoryPresentation(
+        names=tuple("%d|%d" % pair for pair in pairs),
+        zero=0,
+        unit=index[(size - 1, 0)],
+        sum=tuple(tuple(x | y for y in objs) for x in objs),
+        tensor=tensor,
+        translate=translate,
+        triangles=rotation_closure(
+            {(x, x | y, y) for x in objs for y in objs}, translate),
+    )
+    return self_module(cat)
+
+
+@pytest.fixture(scope="session")
+def graded2():
+    return graded_support_model(2)
 
 
 @pytest.fixture(scope="session")

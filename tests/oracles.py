@@ -1,10 +1,15 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written directly from the defining conditions, without
-going through the library's checkers or fixpoint machinery.
+going through the library's checkers or fixpoint machinery.  The one
+exception is ``monoid_op_by_definition``: it joins with ``generate``, the
+certificate-recording fixpoint that the library's join does not use and
+that the tests check against ``minimal_thick_superset``.
 """
 
 from itertools import combinations
+
+from ttg import generate
 
 
 def thick_by_definition(p, s):
@@ -100,6 +105,12 @@ def iterate_operator(c, N):
         if nxt == N:
             return N
         N = nxt
+
+
+def monoid_op_by_definition(c, N, N2):
+    """c^inf(N + N'): generate the union, then iterate the operator."""
+    joined, _ = generate(c.presentation, frozenset(N) | frozenset(N2))
+    return iterate_operator(c, joined)
 
 
 def generated_opens(npts, basis):

@@ -1,10 +1,18 @@
+import os
+import random
+from time import perf_counter
+
 import pytest
 
-from ttg import (continuity_check, enumerate_smod, fixed_points, from_family,
-                 identity_element, identity_operator, monoid_op, monoid_report,
-                 nc_set)
+from ttg import (add, all_submodules, classify, continuity_check,
+                 enumerate_smod, fixed_points, from_family, identity_element,
+                 identity_operator, monoid_op, monoid_report, nc_set,
+                 support_model, table_operator)
+from ttg.docio import load
 from ttg.monoid import MonoidError
 from ttg.presentation import UnknownObjectError
+
+from oracles import monoid_op_by_definition
 
 
 def test_monoid_op_identity_operator(support2):
@@ -110,3 +118,59 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
         monoid_op(c, full, {bad})
     with pytest.raises(UnknownObjectError):
         continuity_check(c, {bad})
+    with pytest.raises(UnknownObjectError):
+        c.apply({bad})
+    with pytest.raises(UnknownObjectError):
+        add(support2, {bad}, full)
+
+
+def test_table_operator_repairs_raw_union(support2):
+    z, a, b, t = range(4)
+    full = frozenset(range(4))
+    c = table_operator(support2, {z: {z}, a: {z, a}, b: {z, b}, t: full})
+    # the raw union {z, a, b} is not thick: a + b = t is missing
+    assert c.apply({z, a, b}) == full
+    with pytest.raises(MonoidError):
+        monoid_op(c, {z, a, b}, {z})
+
+
+def _random_table_operators(p, rng, count):
+    subs = all_submodules(p)
+    for _ in range(count):
+        yield table_operator(p, {m: rng.choice([N for N in subs if m in N])
+                                 for m in range(p.n_objects)})
+
+
+def test_monoid_matches_definition(models_dir, support2, support3, chain3,
+                                   graded2):
+    cases = []
+    for name in ("support2", "support3", "chain3"):
+        p, operators, _ = load(os.path.join(models_dir, name + ".json"))
+        cases += [identity_operator(p)] + [operators[k] for k in sorted(operators)]
+    cases += [identity_operator(support_model(4)), identity_operator(graded2)]
+    # on support3 most random tables need the thick-closure repair
+    rng = random.Random(7)
+    for p in (support2, chain3, support3):
+        cases += _random_table_operators(p, rng, 20)
+    gated = [c for c in cases if classify(c.presentation, c).gate]
+    assert len(gated) > 30
+    for c in gated:
+        p = c.presentation
+        points = fixed_points(enumerate_smod(p), c).points
+        for N in points:
+            for N2 in points:
+                assert monoid_op(c, N, N2) == monoid_op_by_definition(c, N, N2)
+            joins = [monoid_op_by_definition(c, N, {m2})
+                     for m2 in range(p.n_objects)]
+            for m in range(p.n_objects):
+                assert nc_set(c, N, m) == {m2 for m2, J in enumerate(joins)
+                                           if m in J}
+    assert monoid_report(identity_operator(graded2)).passed
+
+
+def test_monoid_support5_finishes():
+    c = identity_operator(support_model(5))
+    started = perf_counter()
+    rep = monoid_report(c)
+    assert perf_counter() - started < 2
+    assert rep.passed and len(rep.space.points) == 32

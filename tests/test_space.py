@@ -7,7 +7,7 @@ from ttg import (basis_properties, classify, division, enumerate_smod,
                  fixed_points, from_family, identity_operator, radical,
                  spectral_report, ultrafilter_check)
 from ttg.docio import load
-from ttg.presentation import chain_model, support_model
+from ttg.presentation import chain_model, support_model, validate
 from ttg.space import SModSpace, make_space
 
 from oracles import brute_thick_sets, spectral_by_definition
@@ -173,3 +173,12 @@ def test_spectral_support5_finishes():
     rep = spectral_report(space)
     assert perf_counter() - started < 5
     assert rep.spectral and rep.witnesses == ()
+
+
+def test_graded_model_matches_oracle(graded2):
+    # T swaps the two grades, so rotation is not the identity here
+    assert graded2.translate != tuple(range(graded2.n_objects))
+    assert validate(graded2).ok
+    space = enumerate_smod(graded2)
+    assert len(space.points) == 4
+    assert list(space.points) == brute_thick_sets(graded2)

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
 from ttg.presentation import UnknownObjectError
 from ttg.thick import GenerationError
 
-from oracles import (brute_thick_sets, least_cofactor,
+from oracles import (all_subsets, brute_thick_sets, least_cofactor,
                      minimal_thick_superset, summands_by_scan)
 
 
@@ -177,13 +178,22 @@ def test_all_submodules_matches_brute_force(support2, support3, chain3):
         assert list(all_submodules(p)) == brute_thick_sets(p)
 
 
-def test_finite_principality(support3):
+def test_finite_principality(support2, support3, chain3, graded2):
     # every thick submodule is the principal of the sum of its members
     for N in all_submodules(support3):
         total = support3.zero
         for m in sorted(N):
             total = support3.sum[total][m]
         assert principal(support3, total) == N
+    # so is the closure of any set, which add reads from the principal table
+    for p in (support2, chain3, support3):
+        for X in all_subsets(range(p.n_objects)):
+            assert add(p, X, ()) == generate(p, X)[0]
+    rng = random.Random(5)
+    for p in (support_model(4), chain_model(10), graded2):
+        for _ in range(200):
+            X = rng.sample(range(p.n_objects), rng.randint(0, p.n_objects))
+            assert add(p, X, ()) == generate(p, X)[0]
 
 
 def test_principal_table_matches_oracle(support2, support3, chain3):
