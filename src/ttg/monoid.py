@@ -7,9 +7,9 @@ reaches a given basis witness.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from .operators import classify
+from .operators import OperatorError
 from .space import enumerate_smod, fixed_points
 from .thick import _checked, add
 
@@ -34,11 +34,13 @@ def _require_fixed(c, N):
     return N
 
 
+def _join(c, N, N2):
+    return c.completion.apply(add(c.presentation, N, N2))
+
+
 def monoid_op(c, N, N2):
     """Completed join of two fixed points; lands in the fixed-point space."""
-    N = _require_fixed(c, N)
-    N2 = _require_fixed(c, N2)
-    return c.completion.apply(add(c.presentation, N, N2))
+    return _join(c, _require_fixed(c, N), _require_fixed(c, N2))
 
 
 def identity_element(c):
@@ -57,8 +59,7 @@ def identity_element(c):
 
 def _principal_joins(c, N):
     """c^inf(N + K(m2)) for every object m2, in object order."""
-    p = c.presentation
-    return [c.completion.apply(add(p, N, K)) for K in p.principals]
+    return [_join(c, N, K) for K in c.presentation.principals]
 
 
 def nc_set(c, N, m):
@@ -81,13 +82,16 @@ def continuity_check(c, N):
     """Compare the preimage of each basic open under join-with-N against the
     union of basic opens indexed by nc_set, object by object.  Each join
     with a point and with a principal is computed once, for all objects."""
-    p = c.presentation
     N = _require_fixed(c, N)
     space = _fixed_space(c)
-    images = [monoid_op(c, N, pt) for pt in space.points]
+    return _continuity(c, space, N, [_join(c, N, pt) for pt in space.points])
+
+
+def _continuity(c, space, N, images):
+    """continuity_check on a built space; images[i] is N joined with point i."""
     joins = _principal_joins(c, N)
     entries = []
-    for m in range(p.n_objects):
+    for m in range(c.presentation.n_objects):
         preimage = frozenset(i for i, image in enumerate(images) if m in image)
         cover = frozenset().union(*(space.basis[m2]
                                     for m2, J in enumerate(joins) if m in J))
@@ -116,29 +120,32 @@ class MonoidReport:
 
 
 def monoid_report(c):
-    """Build the full operation table and verify every monoid axiom plus
-    continuity; failures are critical report entries."""
+    """Join each pair of points once and verify every monoid axiom plus
+    continuity on that one table; failures are critical report entries.
+
+    The join is symmetric, so the identity's row decides neutrality.
+    Continuity of each translation implies joint continuity: finite spaces
+    are Alexandrov spaces, where continuous means monotone for the
+    specialization order, which on a product is componentwise
+    (Alexandroff 1937).
+    """
     p = c.presentation
-    cls = classify(p, c)
-    if not cls.gate:
+    try:
+        e = c.completion.apply(p.principals[p.zero])
+    except OperatorError:
         raise MonoidError("operator does not pass the extensive/order-preserving/"
-                          "finite-type gate")
+                          "finite-type gate") from None
     space = _fixed_space(c)
     points = space.points
     index = {pt: i for i, pt in enumerate(points)}
     n = len(points)
     witnesses = []
-    closed = True
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out = monoid_op(c, points[i], points[j])
-            if out in index:
-                table[i][j] = index[out]
-            else:
-                closed = False
-                witnesses.append(("closed", (i, j, tuple(sorted(out)))))
-    op_table = tuple(tuple(row) for row in table)
+    cells = [tuple(_join(c, N, N2) for N2 in points) for N in points]
+    for i, j in product(range(n), repeat=2):
+        if cells[i][j] not in index:
+            witnesses.append(("closed", (i, j, tuple(sorted(cells[i][j])))))
+    closed = not witnesses
+    op_table = tuple(tuple(index.get(out) for out in row) for row in cells)
 
     commutative = True
     associative = True
@@ -158,23 +165,15 @@ def monoid_report(c):
                         associative = False
                         witnesses.append(("associative", (i, j, k)))
 
-    try:
-        e = identity_element(c)
-        e_idx = index[e]
-        neutral = True
-    except (MonoidInvariantError, KeyError):
+    e_idx = index.get(e, -1)
+    neutral = e_idx >= 0 and cells[e_idx] == points
+    if not neutral:
         e_idx = -1
-        neutral = False
         witnesses.append(("neutral", ()))
-    if neutral and closed:
-        for i in range(n):
-            if op_table[e_idx][i] != i or op_table[i][e_idx] != i:
-                neutral = False
-                witnesses.append(("neutral", (i,)))
 
     continuous = True
     for i in range(n):
-        rep = continuity_check(c, points[i])
+        rep = _continuity(c, space, points[i], cells[i])
         if not rep.passed:
             continuous = False
             witnesses.append(("continuous", (i,) + tuple(

@@ -192,17 +192,24 @@ def _validate_category(cat, report):
                     report.add("tensor-associative", "(xy)z != x(yz)", x, y, z)
                 if cat.tensor[z][cat.sum[x][y]] != cat.sum[cat.tensor[z][x]][cat.tensor[z][y]]:
                     report.add("tensor-distributive", "z(x+y) != zx+zy", x, y, z)
-    _check_rotation_closure(cat.triangles, cat.translate, cat.zero, n, report)
+    _check_rotation_closure(cat.triangles, cat.translate, cat.zero, cat.sum, report)
 
 
-def _check_rotation_closure(triangles, translate, zero, n, report):
+def _check_rotation_closure(triangles, translate, zero, sum_table, report):
+    """Rotation closure plus the two triangle families the thick closure
+    relies on: (x, x, 0) and the split triangles (x, x + y, y), which
+    give closure under sums.  Where x + 0 = x, a missing (x, x, 0) is
+    reported under both rules."""
     for t in triangles:
         r = rotate_triangle(t, translate)
         if r not in triangles:
             report.add("triangle-rotation", "rotation of triangle missing", t, r)
-    for x in range(n):
+    for x, row in enumerate(sum_table):
         if (x, x, zero) not in triangles:
             report.add("triangle-contraction", "(x, x, 0) triangle missing", x)
+        for y, s in enumerate(row):
+            if (x, s, y) not in triangles:
+                report.add("triangle-split", "(x, x+y, y) triangle missing", x, s, y)
 
 
 def validate(p):
@@ -263,7 +270,7 @@ def validate(p):
     for m in rng:
         if p.translate[m] != p.action[t1][m]:
             report.add("translation-compatibility", "T(m) != T(1) * m", m)
-    _check_rotation_closure(p.triangles, p.translate, p.zero, n, report)
+    _check_rotation_closure(p.triangles, p.translate, p.zero, p.sum, report)
     return report
 
 

@@ -193,3 +193,26 @@ def family_violation(p, members):
         if sub and directed and frozenset().union(*sub) not in members:
             return "directed-union"
     return None
+
+
+def jointly_continuous(space, op_table):
+    """Whether (i, j) -> op_table[i][j] is continuous from the product of
+    the space with itself to the space, each topology generated by the
+    space's basis.
+
+    Every open's preimage W must be open in the product: each pair in W
+    must lie in some U x V inside W, U and V open.  The least open holding
+    a point is the intersection of the finitely many opens holding it, so
+    those are the only U and V to try.
+    """
+    npts = len(space.points)
+    opens = generated_opens(npts, space.basis)
+    least = [frozenset.intersection(*(O for O in opens if i in O))
+             for i in range(npts)]
+    for O in opens:
+        W = {(i, j) for i in range(npts) for j in range(npts)
+             if op_table[i][j] in O}
+        if any((k, l) not in W for i, j in W
+               for k in least[i] for l in least[j]):
+            return False
+    return True

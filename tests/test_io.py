@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import tempfile
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ttg import support_model
 from ttg.cli import main
 from ttg.docio import (DocumentError, ModelInvalidError, dump_document, load,
-                       load_document, model_digest, normalize_document)
+                       load_document, model_digest, normalize_document, save)
 
 
 def model_path(models_dir, name):
@@ -192,16 +193,59 @@ def test_cli_report_structured_output(models_dir, tmp_path):
     assert "operator:identity" in names and "operator:saturate" in names
 
 
-@pytest.mark.parametrize("name", ["support2", "support3", "chain3"])
-def test_cli_report_bytes_match_benchmark_golden(models_dir, tmp_path, name):
-    """``ttg report --out`` on a shipped model is byte-identical to the
-    report whose sha256 the benchmark's golden file records."""
-    with open(os.path.join(models_dir, "..", "perfbench", "golden.json")) as fh:
-        golden = json.load(fh)["jobs"]["report/" + name]
-    out = tmp_path / "report.json"
-    assert main(["report", "--model", model_path(models_dir, name),
-                 "--out", str(out)]) == golden["rc"]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["out_sha256"]
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+# Every CLI job of the benchmark as perfbench/run.py runs it:
+# (job id, subcommand, model, --operator, --max-objects).
+GOLDEN_JOBS = [
+    ("report/support2", "report", "support2", None, None),
+    ("report/support3", "report", "support3", None, None),
+    ("report/chain3", "report", "chain3", None, None),
+    ("monoid/chain10/identity", "monoid", "chain10", "identity", None),
+    ("monoid/support4/div_ab", "monoid", "support4", "div_ab", None),
+    ("spectral/lattice24/identity", "spectral", "lattice24", "identity", 24),
+]
+
+
+def _golden():
+    with open(os.path.join(PERFBENCH, "golden.json")) as fh:
+        return json.load(fh)
+
+
+def _benchmark_generators():
+    # run_path compiles in memory and leaves no bytecode in perfbench/
+    return runpy.run_path(os.path.join(PERFBENCH, "inputs.py"))["GENERATORS"]
+
+
+def test_golden_jobs_cover_the_benchmark():
+    assert sorted(job[0] for job in GOLDEN_JOBS) == sorted(_golden()["jobs"])
+
+
+@pytest.mark.parametrize("job", GOLDEN_JOBS, ids=[
+    job[2] if job[1] == "report" else job[0] for job in GOLDEN_JOBS])
+def test_cli_report_bytes_match_benchmark_golden(models_dir, tmp_path, job):
+    """``--out`` of each benchmark job is byte-identical to the report whose
+    sha256 the benchmark's golden file records.  Stress inputs are built
+    into tmp_path and must match their recorded digests."""
+    job_id, command, model, operator, max_objects = job
+    golden = _golden()
+    generators = _benchmark_generators()
+    if model in generators:
+        doc = generators[model]()
+        assert model_digest(doc) == golden["models"][model]
+        path = str(tmp_path / (model + ".json"))
+        save(doc, path)
+    else:
+        path = model_path(models_dir, model)
+    argv = [command, "--model", path, "--out", str(tmp_path / "out.json")]
+    if operator:
+        argv += ["--operator", operator]
+    if max_objects:
+        argv += ["--max-objects", str(max_objects)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == golden["jobs"][job_id]["rc"]
+    digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+    assert digest == golden["jobs"][job_id]["out_sha256"]
 
 
 JSON_VALUES = st.recursive(

@@ -12,7 +12,7 @@ from ttg.docio import load
 from ttg.monoid import MonoidError
 from ttg.presentation import UnknownObjectError
 
-from oracles import monoid_op_by_definition
+from oracles import jointly_continuous, monoid_op_by_definition
 
 
 def test_monoid_op_identity_operator(support2):
@@ -141,12 +141,18 @@ def _random_table_operators(p, rng, count):
                                  for m in range(p.n_objects)})
 
 
-def test_monoid_matches_definition(models_dir, support2, support3, chain3,
-                                   graded2):
+def _shipped_operators(models_dir):
+    """Identity and every named operator of the three shipped models."""
     cases = []
     for name in ("support2", "support3", "chain3"):
         p, operators, _ = load(os.path.join(models_dir, name + ".json"))
         cases += [identity_operator(p)] + [operators[k] for k in sorted(operators)]
+    return cases
+
+
+def test_monoid_matches_definition(models_dir, support2, support3, chain3,
+                                   graded2):
+    cases = _shipped_operators(models_dir)
     cases += [identity_operator(support_model(4)), identity_operator(graded2)]
     # on support3 most random tables need the thick-closure repair
     rng = random.Random(7)
@@ -156,16 +162,47 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
     assert len(gated) > 30
     for c in gated:
         p = c.presentation
+        rep = monoid_report(c)
         points = fixed_points(enumerate_smod(p), c).points
-        for N in points:
-            for N2 in points:
-                assert monoid_op(c, N, N2) == monoid_op_by_definition(c, N, N2)
+        assert rep.space.points == points
+        least = [i for i, N in enumerate(points) if all(N <= M for M in points)]
+        assert [rep.identity] == least
+        for i, N in enumerate(points):
+            images = [monoid_op_by_definition(c, N, N2) for N2 in points]
+            for j, N2 in enumerate(points):
+                assert monoid_op(c, N, N2) == images[j]
+                assert rep.op_table[i][j] == points.index(images[j])
             joins = [monoid_op_by_definition(c, N, {m2})
                      for m2 in range(p.n_objects)]
+            entries = []
             for m in range(p.n_objects):
-                assert nc_set(c, N, m) == {m2 for m2, J in enumerate(joins)
-                                           if m in J}
+                reach = {m2 for m2, J in enumerate(joins) if m in J}
+                assert nc_set(c, N, m) == reach
+                preimage = tuple(k for k, image in enumerate(images)
+                                 if m in image)
+                cover = tuple(k for k, M in enumerate(points) if reach & M)
+                entries.append((m, preimage == cover, preimage, cover))
+            assert continuity_check(c, N).entries == tuple(entries)
     assert monoid_report(identity_operator(graded2)).passed
+
+
+def test_continuous_flag_matches_joint_continuity_oracle(
+        models_dir, support2, support3, chain3):
+    """Separate continuity of the translations, which monoid_report checks,
+    agrees with continuity on the product space."""
+    cases = _shipped_operators(models_dir)
+    rng = random.Random(13)
+    for p in (support2, chain3, support3):
+        cases += _random_table_operators(p, rng, 20)
+    reports = [monoid_report(c) for c in cases if classify(c.presentation, c).gate]
+    assert len(reports) > 30
+    for rep in reports:
+        assert rep.closed
+        assert rep.continuous == jointly_continuous(rep.space, rep.op_table)
+    # the oracle does reject a map: reversing the first argument of the
+    # identity's join on support2 turns inclusion around
+    rep = monoid_report(identity_operator(support2))
+    assert not jointly_continuous(rep.space, rep.op_table[::-1])
 
 
 def test_monoid_support5_finishes():

@@ -3,8 +3,9 @@ from time import perf_counter
 import pytest
 
 from ttg import (all_submodules, c_infinity, classify, division, from_family,
-                 identity_operator, is_thick, principal, radical,
-                 table_operator, validate_family)
+                 identity_operator, is_thick, monoid_report, principal,
+                 radical, table_operator, validate_family)
+from ttg.monoid import MonoidError
 from ttg.operators import FamilyError, OperatorError
 from ttg.presentation import support_model
 
@@ -203,6 +204,9 @@ def test_c_infinity_requires_gate(support2):
         tuple(frozenset({0}) for _ in range(support2.n_objects)))
     with pytest.raises(OperatorError):
         c_infinity(support2, bad)
+    with pytest.raises(MonoidError, match="does not pass the extensive/"
+                       "order-preserving/finite-type gate"):
+        monoid_report(bad)
 
 
 def test_family_round_trip_on_support2(support2):

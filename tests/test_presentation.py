@@ -2,8 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from ttg import chain_model, self_module, summands, support_model, validate
-from ttg.presentation import ResourceError, StructuralError
+from ttg import (chain_model, generate, is_thick, self_module, summands,
+                 support_model, validate)
+from ttg.cli import main
+from ttg.docio import normalize_document, save
+from ttg.presentation import ResourceError, StructuralError, rotation_closure
 
 
 def test_support_model_validates(support2, support3):
@@ -13,6 +16,30 @@ def test_support_model_validates(support2, support3):
 
 def test_chain_model_validates(chain3):
     assert validate(chain3).ok
+
+
+def _split_probe():
+    """support_model(2) with its triangles cut to the rotations of the
+    (x, x, 0) triangles, so no split triangle (x, x + y, y) is stored."""
+    cat = support_model(2).base
+    kept = rotation_closure({(x, x, cat.zero) for x in range(cat.n_objects)},
+                            cat.translate)
+    return self_module(replace(cat, triangles=kept))
+
+
+def test_validate_requires_split_triangles(tmp_path):
+    z, a, b, t = range(4)
+    p = _split_probe()
+    # without the rule the closure of {a, b} misses a + b = t
+    assert not is_thick(p, generate(p, {a, b})[0])
+    split = [v.witness for v in validate(p).violations
+             if v.rule == "triangle-split"]
+    assert (a, t, b) in split
+    for x, s, y in split:
+        assert p.sum[x][y] == s and (x, s, y) not in p.triangles
+    path = tmp_path / "probe.json"
+    save(normalize_document({"category": {}}, p), str(path))
+    assert main(["validate", "--model", str(path)]) == 1
 
 
 def test_support_model_sizes():

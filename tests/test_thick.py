@@ -85,11 +85,13 @@ def test_generate_matches_brute_force(support2, chain3):
             assert members == minimal_thick_superset(p, X)
 
 
-def test_generate_output_is_thick(support3):
-    for x in range(support3.n_objects):
-        for y in range(support3.n_objects):
-            members, _ = generate(support3, {x, y})
-            assert is_thick(support3, members)
+def test_generate_output_is_thick(support2, support3, chain3, graded2):
+    # sound only because validate requires the split triangles (x, x+y, y)
+    for p in (support2, support3, chain3, graded2, chain_model(6)):
+        for size in range(3):
+            for seed in combinations(range(p.n_objects), size):
+                members, _ = generate(p, seed)
+                assert is_thick(p, members), (p.names, seed)
 
 
 def test_certificate_orders_strictly_increase(support2, support3, chain3):
