@@ -211,10 +211,9 @@ def cmd_report(args):
                            "finite_type": cls.finite_type},
                  "gate": cls.gate}
         if cls.gate:
-            fixed = fixed_points(space, c)
-            srep = spectral_report(fixed)
-            urep = ultrafilter_check(fixed, c)
             mrep = monoid_report(c)
+            srep = spectral_report(mrep.space)
+            urep = ultrafilter_check(mrep.space, c)
             entry["spectral"] = srep.spectral
             entry["ultrafilter"] = urep.passed
             entry["monoid"] = mrep.passed

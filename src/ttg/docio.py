@@ -190,30 +190,27 @@ def load(path, max_objects=16):
     return p, operators, normalize_document(doc, p)
 
 
+def _section_doc(sec, **tables):
+    """A category or module section by name: its objects, zero, translation,
+    sorted triangles, the sum table and the extra ``tables`` given."""
+    def named(ids):
+        return [sec.names[v] for v in ids]
+
+    out = {"objects": list(sec.names), "zero": sec.names[sec.zero],
+           "translate": named(sec.translate),
+           "triangles": sorted(named(t) for t in sec.triangles)}
+    for key, table in dict(tables, sum=sec.sum).items():
+        out[key] = [named(row) for row in table]
+    return out
+
+
 def normalize_document(doc, p):
     """Rotation-closed, deterministically ordered form of a document."""
-    def names_of(cat_or_mod, ids):
-        return [cat_or_mod.names[i] for i in ids]
-
     cat = p.base
-    out = {"category": {
-        "objects": list(cat.names),
-        "zero": cat.names[cat.zero],
-        "unit": cat.names[cat.unit],
-        "sum": [[cat.names[v] for v in row] for row in cat.sum],
-        "tensor": [[cat.names[v] for v in row] for row in cat.tensor],
-        "translate": [cat.names[v] for v in cat.translate],
-        "triangles": sorted(names_of(cat, t) for t in sorted(cat.triangles)),
-    }}
+    out = {"category": dict(_section_doc(cat, tensor=cat.tensor),
+                            unit=cat.names[cat.unit])}
     if "module" in doc:
-        out["module"] = {
-            "objects": list(p.names),
-            "zero": p.names[p.zero],
-            "sum": [[p.names[v] for v in row] for row in p.sum],
-            "translate": [p.names[v] for v in p.translate],
-            "triangles": sorted(names_of(p, t) for t in sorted(p.triangles)),
-            "action": [[p.names[v] for v in row] for row in p.action],
-        }
+        out["module"] = _section_doc(p, action=p.action)
     if "operators" in doc:
         ops = {}
         for name in sorted(doc["operators"]):

@@ -157,59 +157,93 @@ def _check_table(bound, table, rows, cols, what):
                 raise StructuralError("%s[%d][%d] = %r is out of range" % (what, i, j, v))
 
 
-def _validate_category(cat, report):
-    n = cat.n_objects
-    _check_table(n, cat.sum, n, n, "sum")
-    _check_table(n, cat.tensor, n, n, "tensor")
+def _validate_section(sec, report, what):
+    """The checks a category and a module section share: the shape of the
+    sum table, triangles and zero, the translation bijection, the sum axioms,
+    rotation closure and the split triangles (x, x + y, y), which give the
+    thick closure its closure under sums.  The contraction (x, x, 0) needs
+    no rule of its own: it is the split triangle with y = 0 wherever
+    x + 0 = x, and ``sum-unit`` reports every other x.  ``what`` is
+    "category" or "module"; module rules carry the prefix "module-",
+    triangle rules none."""
+    n = sec.n_objects
+    _check_table(n, sec.sum, n, n, what + " sum")
     # A bijection is invertible: this is the whole translate-inverse axiom.
-    if len(cat.translate) != n or sorted(cat.translate) != list(range(n)):
-        raise StructuralError("translate is not a bijection on category objects")
-    for t in cat.triangles:
+    if len(sec.translate) != n or sorted(sec.translate) != list(range(n)):
+        raise StructuralError("%s translate is not a bijection" % what)
+    for t in sec.triangles:
         if len(t) != 3 or any(not isinstance(v, int) or not 0 <= v < n for v in t):
-            raise StructuralError("malformed triangle %r" % (t,))
-    if not (0 <= cat.zero < n and 0 <= cat.unit < n):
-        raise StructuralError("zero/unit id out of range")
+            raise StructuralError("malformed %s triangle %r" % (what, t))
+    if not 0 <= sec.zero < n:
+        raise StructuralError("%s zero id out of range" % what)
 
-    rng = range(n)
+    rule = "" if what == "category" else what + "-"
+    add, rng, s = report.add, range(n), sec.sum
     for x in rng:
         for y in rng:
-            if cat.sum[x][y] != cat.sum[y][x]:
-                report.add("sum-commutative", "x+y != y+x", x, y)
-            if cat.tensor[x][y] != cat.tensor[y][x]:
-                report.add("tensor-commutative", "x*y != y*x", x, y)
-        if cat.sum[x][cat.zero] != x:
-            report.add("sum-unit", "x + 0 != x", x)
-        if cat.tensor[x][cat.unit] != x:
-            report.add("tensor-unit", "x tensor 1 != x", x)
-        if cat.tensor[x][cat.zero] != cat.zero:
-            report.add("tensor-zero", "x tensor 0 != 0", x)
-    for x in rng:
-        for y in rng:
+            if s[x][y] != s[y][x]:
+                add(rule + "sum-commutative", "x+y != y+x", x, y)
             for z in rng:
-                if cat.sum[cat.sum[x][y]][z] != cat.sum[x][cat.sum[y][z]]:
-                    report.add("sum-associative", "(x+y)+z != x+(y+z)", x, y, z)
-                if cat.tensor[cat.tensor[x][y]][z] != cat.tensor[x][cat.tensor[y][z]]:
+                if s[s[x][y]][z] != s[x][s[y][z]]:
+                    add(rule + "sum-associative", "(x+y)+z != x+(y+z)", x, y, z)
+        if s[x][sec.zero] != x:
+            add(rule + "sum-unit", "x + 0 != x", x)
+    for t in sec.triangles:
+        r = rotate_triangle(t, sec.translate)
+        if r not in sec.triangles:
+            add("triangle-rotation", "rotation of triangle missing", t, r)
+    for x in rng:
+        for y in rng:
+            if (x, s[x][y], y) not in sec.triangles:
+                add("triangle-split", "(x, x+y, y) triangle missing", x, s[x][y], y)
+
+
+def _validate_category(cat, report):
+    _validate_section(cat, report, "category")
+    n = cat.n_objects
+    _check_table(n, cat.tensor, n, n, "category tensor")
+    if not 0 <= cat.unit < n:
+        raise StructuralError("category unit id out of range")
+    rng, t = range(n), cat.tensor
+    for x in rng:
+        for y in rng:
+            if t[x][y] != t[y][x]:
+                report.add("tensor-commutative", "x*y != y*x", x, y)
+            for z in rng:
+                if t[t[x][y]][z] != t[x][t[y][z]]:
                     report.add("tensor-associative", "(xy)z != x(yz)", x, y, z)
-                if cat.tensor[z][cat.sum[x][y]] != cat.sum[cat.tensor[z][x]][cat.tensor[z][y]]:
+                if t[z][cat.sum[x][y]] != cat.sum[t[z][x]][t[z][y]]:
                     report.add("tensor-distributive", "z(x+y) != zx+zy", x, y, z)
-    _check_rotation_closure(cat.triangles, cat.translate, cat.zero, cat.sum, report)
+        if t[x][cat.unit] != x:
+            report.add("tensor-unit", "x tensor 1 != x", x)
+        if t[x][cat.zero] != cat.zero:
+            report.add("tensor-zero", "x tensor 0 != 0", x)
 
 
-def _check_rotation_closure(triangles, translate, zero, sum_table, report):
-    """Rotation closure plus the two triangle families the thick closure
-    relies on: (x, x, 0) and the split triangles (x, x + y, y), which
-    give closure under sums.  Where x + 0 = x, a missing (x, x, 0) is
-    reported under both rules."""
-    for t in triangles:
-        r = rotate_triangle(t, translate)
-        if r not in triangles:
-            report.add("triangle-rotation", "rotation of triangle missing", t, r)
-    for x, row in enumerate(sum_table):
-        if (x, x, zero) not in triangles:
-            report.add("triangle-contraction", "(x, x, 0) triangle missing", x)
-        for y, s in enumerate(row):
-            if (x, s, y) not in triangles:
-                report.add("triangle-split", "(x, x+y, y) triangle missing", x, s, y)
+def _validate_module(p, report):
+    """The module section and the action axioms (Stevenson, 2013)."""
+    _validate_section(p, report, "module")
+    n, k = p.n_objects, p.base
+    _check_table(n, p.action, k.n_objects, n, "action")
+    rng, krng, act = range(n), range(k.n_objects), p.action
+    for m in rng:
+        if act[k.unit][m] != m:
+            report.add("action-unit", "1 * m != m", m)
+        if act[k.zero][m] != p.zero:
+            report.add("action-zero-left", "0_K * m != 0_M", m)
+    for a in krng:
+        if act[a][p.zero] != p.zero:
+            report.add("action-zero-right", "a * 0_M != 0_M", a)
+        for b in krng:
+            for m in rng:
+                if act[k.tensor[a][b]][m] != act[a][act[b][m]]:
+                    report.add("action-associative", "(ab)*m != a*(b*m)", a, b, m)
+                if act[k.sum[a][b]][m] != p.sum[act[a][m]][act[b][m]]:
+                    report.add("action-distributive-left", "(a+b)*m != a*m + b*m", a, b, m)
+        for m in rng:
+            for m2 in rng:
+                if act[a][p.sum[m][m2]] != p.sum[act[a][m]][act[a][m2]]:
+                    report.add("action-distributive-right", "a*(m+m') != a*m + a*m'", a, m, m2)
 
 
 def validate(p):
@@ -217,60 +251,23 @@ def validate(p):
 
     Raises StructuralError on malformed tables; axiom violations are
     collected in the returned ValidationReport with witnesses.
+
+    When K acts on itself (``is_self_module``) the module section is the
+    category section, already checked, and each action axiom restates a
+    tensor axiom once ``tensor-commutative`` holds: 1 * m = m * 1 = m,
+    0 * m = m * 0 = 0, a * 0 = 0, (ab)m = a(bm), a(m + m') = am + am' and
+    (a + b)m = m(a + b) = ma + mb.  So the module checks run only for a
+    genuine module, and each violation is reported once.  Compatibility
+    T(m) = T(1) * m follows from no category rule and is always checked.
     """
     report = ValidationReport()
     _validate_category(p.base, report)
-
-    n = p.n_objects
-    nk = p.base.n_objects
-    _check_table(n, p.sum, n, n, "module sum")
-    _check_table(n, p.action, nk, n, "action")
-    if len(p.translate) != n or sorted(p.translate) != list(range(n)):
-        raise StructuralError("module translate is not a bijection")
-    for t in p.triangles:
-        if len(t) != 3 or any(not isinstance(v, int) or not 0 <= v < n for v in t):
-            raise StructuralError("malformed module triangle %r" % (t,))
-    if not 0 <= p.zero < n:
-        raise StructuralError("module zero id out of range")
-
-    rng = range(n)
-    krng = range(nk)
-    for x in rng:
-        for y in rng:
-            if p.sum[x][y] != p.sum[y][x]:
-                report.add("module-sum-commutative", "m+m' != m'+m", x, y)
-        if p.sum[x][p.zero] != x:
-            report.add("module-sum-unit", "m + 0 != m", x)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if p.sum[p.sum[x][y]][z] != p.sum[x][p.sum[y][z]]:
-                    report.add("module-sum-associative", "(m+m')+m'' != m+(m'+m'')", x, y, z)
-    for m in rng:
-        if p.action[p.base.unit][m] != m:
-            report.add("action-unit", "1 * m != m", m)
-        if p.action[p.base.zero][m] != p.zero:
-            report.add("action-zero-left", "0_K * m != 0_M", m)
-    for a in krng:
-        if p.action[a][p.zero] != p.zero:
-            report.add("action-zero-right", "a * 0_M != 0_M", a)
-        for b in krng:
-            for m in rng:
-                if p.action[p.base.tensor[a][b]][m] != p.action[a][p.action[b][m]]:
-                    report.add("action-associative", "(ab)*m != a*(b*m)", a, b, m)
-        for m in rng:
-            for m2 in rng:
-                if p.action[a][p.sum[m][m2]] != p.sum[p.action[a][m]][p.action[a][m2]]:
-                    report.add("action-distributive-right", "a*(m+m') != a*m + a*m'", a, m, m2)
-        for b in krng:
-            for m in rng:
-                if p.action[p.base.sum[a][b]][m] != p.sum[p.action[a][m]][p.action[b][m]]:
-                    report.add("action-distributive-left", "(a+b)*m != a*m + b*m", a, b, m)
+    if not is_self_module(p):
+        _validate_module(p, report)
     t1 = p.base.translate[p.base.unit]
-    for m in rng:
+    for m in range(p.n_objects):
         if p.translate[m] != p.action[t1][m]:
             report.add("translation-compatibility", "T(m) != T(1) * m", m)
-    _check_rotation_closure(p.triangles, p.translate, p.zero, p.sum, report)
     return report
 
 

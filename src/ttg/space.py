@@ -40,14 +40,8 @@ def enumerate_smod(p):
 
 def fixed_points(space, c):
     """Subspace of points fixed by c, with the restricted basis."""
-    kept = [i for i, pt in enumerate(space.points) if c.apply(pt) == pt]
-    reindex = {old: new for new, old in enumerate(kept)}
-    points = tuple(space.points[i] for i in kept)
-    basis = tuple(frozenset(reindex[i] for i in U if i in reindex)
-                  for U in space.basis)
-    spec = frozenset((reindex[i], reindex[j]) for i, j in space.specialization
-                     if i in reindex and j in reindex)
-    return SModSpace(points, basis, spec)
+    return make_space([pt for pt in space.points if c.apply(pt) == pt],
+                      len(space.basis))
 
 
 @dataclass(frozen=True)

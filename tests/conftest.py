@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from ttg import (CategoryPresentation, chain_model, self_module, support_model,
-                 table_operator)
+from ttg import (CategoryPresentation, ModulePresentation, chain_model,
+                 self_module, support_model, table_operator)
 from ttg.presentation import rotation_closure
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -55,6 +55,30 @@ def graded_support_model(n):
 @pytest.fixture(scope="session")
 def graded2():
     return graded_support_model(2)
+
+
+def restriction_module(n, k):
+    """support_model(n) acting on the subsets of its first k atoms by
+    A * m = A & m: a genuine module M != K with union as its sum, identity
+    translation and the triangles (x, x + y, y), closed under rotation."""
+    base = support_model(n).base
+    objs = range(1 << k)
+    translate = tuple(objs)
+    return ModulePresentation(
+        base=base,
+        names=base.names[:1] + tuple("m%d" % x for x in objs[1:]),
+        zero=0,
+        sum=tuple(tuple(x | y for y in objs) for x in objs),
+        translate=translate,
+        triangles=rotation_closure(
+            {(x, x | y, y) for x in objs for y in objs}, translate),
+        action=tuple(tuple(a & x for x in objs) for a in range(base.n_objects)),
+    )
+
+
+@pytest.fixture(scope="session")
+def restrict2():
+    return restriction_module(2, 1)
 
 
 @pytest.fixture(scope="session")
