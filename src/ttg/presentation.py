@@ -79,6 +79,10 @@ class ModulePresentation:
             raise UnknownObjectError("unknown module object id: %r" % (x,))
 
     @cached_property
+    def _ids(self):
+        return frozenset(range(self.n_objects))
+
+    @cached_property
     def decompositions(self):
         """The summand table: for each object x, the pairs (n, least n2)
         with n + n2 = x, one per summand n, in increasing n."""
@@ -100,9 +104,36 @@ class ModulePresentation:
 
     @cached_property
     def principals(self):
-        """K(m), the principal thick submodule, for every object m."""
-        from .thick import generate  # thick imports this module
-        return tuple(generate(self, {m})[0] for m in range(self.n_objects))
+        """K(m), the principal thick submodule, for every object m.
+
+        The least set holding m and zero and closed under the two rules of
+        ``thick.generate``: every summand of a * y for y inside (the orbit
+        of y), and the third entry of a stored triangle whose other two
+        entries are inside.  A worklist applies each rule once per new
+        member y, to its orbit and to the pairs (x, y) and (y, x) with x
+        already inside, so no certificate is kept.
+        """
+        orbit = [frozenset(n for a in range(self.base.n_objects)
+                           for n, _ in self.decompositions[self.action[a][y]])
+                 for y in range(self.n_objects)]
+        thirds = {}  # (pred1, pred2) -> objects completing a stored triangle
+        for _, n, pred1, pred2 in self.triangle_positions:
+            thirds.setdefault((pred1, pred2), set()).add(n)
+        table = []
+        for m in range(self.n_objects):
+            inside = set()
+            todo = [m, self.zero]
+            while todo:
+                y = todo.pop()
+                if y in inside:
+                    continue
+                inside.add(y)
+                todo.extend(orbit[y])
+                for x in inside:
+                    todo.extend(thirds.get((x, y), ()))
+                    todo.extend(thirds.get((y, x), ()))
+            table.append(frozenset(inside))
+        return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,16 @@ class GenerationCertificate:
 
 
 def _checked(p, X):
-    """X as a frozenset, after checking that every id is a module object."""
+    """X as a frozenset, after checking that every id is a module object.
+
+    One subset test against the object ids, and a type test because 1.0
+    equals the id 1; only a set that fails either, bools included, is
+    checked id by id, which raises for the first unknown id.
+    """
     X = frozenset(X)
-    for m in X:
-        p.check_object(m)
+    if not (X <= p._ids and set(map(type, X)) <= {int}):
+        for m in X:
+            p.check_object(m)
     return X
 
 
@@ -69,11 +75,9 @@ def is_thick(p, s):
         for m2 in range(p.n_objects):
             if p.sum[m][m2] in s and not (m in s and m2 in s):
                 return ThickCheck(False, "summand", (m, m2, p.sum[m][m2]))
-    for t in sorted(p.triangles):
-        inside = sum(1 for v in t if v in s)  # counts positions, not values
-        if inside == 2:
-            missing = next(v for v in t if v not in s)
-            return ThickCheck(False, "triangle", (t, missing))
+    for t, n, pred1, pred2 in p.triangle_positions:
+        if pred1 in s and pred2 in s and n not in s:
+            return ThickCheck(False, "triangle", (t, n))
     for m in range(p.n_objects):
         for m2 in range(p.n_objects):
             if m in s and m2 in s and p.sum[m][m2] not in s:

@@ -1,5 +1,6 @@
 import os
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,17 @@ def restriction_module(n, k):
 @pytest.fixture(scope="session")
 def restrict2():
     return restriction_module(2, 1)
+
+
+@pytest.fixture(scope="session")
+def split_probe():
+    """support_model(2) with its triangles cut to the rotations of the
+    (x, x, 0) triangles, so the split triangles (x, x + y, y) are stored
+    only where x or y is zero: 9 of the 16 are missing."""
+    cat = support_model(2).base
+    kept = rotation_closure({(x, x, cat.zero) for x in range(cat.n_objects)},
+                            cat.translate)
+    return self_module(replace(cat, triangles=kept))
 
 
 @pytest.fixture(scope="session")

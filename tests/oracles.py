@@ -32,6 +32,31 @@ def thick_by_definition(p, s):
     return True
 
 
+def thick_check_by_scan(p, s):
+    """``is_thick``'s (ok, condition, witness) by scanning the tables in
+    its order: zero, action, summand, then the first triangle in sorted
+    order with exactly two positions inside, then sum."""
+    if p.zero not in s:
+        return False, "zero", (p.zero,)
+    for a in range(p.base.n_objects):
+        for m in sorted(s):
+            if p.action[a][m] not in s:
+                return False, "action", (a, m, p.action[a][m])
+    for m in range(p.n_objects):
+        for m2 in range(p.n_objects):
+            if p.sum[m][m2] in s and not (m in s and m2 in s):
+                return False, "summand", (m, m2, p.sum[m][m2])
+    for t in sorted(p.triangles):
+        inside = sum(1 for v in t if v in s)  # counts positions, not values
+        if inside == 2:
+            return False, "triangle", (t, next(v for v in t if v not in s))
+    for m in range(p.n_objects):
+        for m2 in range(p.n_objects):
+            if m in s and m2 in s and p.sum[m][m2] not in s:
+                return False, "sum", (m, m2, p.sum[m][m2])
+    return True, "", ()
+
+
 def brute_thick_sets(p):
     n = p.n_objects
     out = []

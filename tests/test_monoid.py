@@ -104,7 +104,7 @@ def test_monoid_operation_idempotent(chain3, promote):
     assert rep.idempotent
 
 
-@pytest.mark.parametrize("bad", [99, -1, "a"])
+@pytest.mark.parametrize("bad", [99, -1, "a", 1.0])
 def test_monoid_entry_points_reject_unknown_ids(support2, bad):
     c = identity_operator(support2)
     full = frozenset(range(4))

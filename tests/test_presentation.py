@@ -8,8 +8,7 @@ from ttg import (chain_model, enumerate_smod, generate, is_thick, self_module,
 from ttg.cli import main
 from ttg.docio import load, normalize_document, save
 from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
-                              _validate_category, _validate_module,
-                              rotation_closure)
+                              _validate_category, _validate_module)
 
 from oracles import brute_thick_sets
 
@@ -23,19 +22,9 @@ def test_chain_model_validates(chain3):
     assert validate(chain3).ok
 
 
-def _split_probe():
-    """support_model(2) with its triangles cut to the rotations of the
-    (x, x, 0) triangles, so the split triangles (x, x + y, y) are stored
-    only where x or y is zero: 9 of the 16 are missing."""
-    cat = support_model(2).base
-    kept = rotation_closure({(x, x, cat.zero) for x in range(cat.n_objects)},
-                            cat.translate)
-    return self_module(replace(cat, triangles=kept))
-
-
-def test_validate_requires_split_triangles(tmp_path):
+def test_validate_requires_split_triangles(split_probe, tmp_path):
     z, a, b, t = range(4)
-    p = _split_probe()
+    p = split_probe
     # without the rule the closure of {a, b} misses a + b = t
     assert not is_thick(p, generate(p, {a, b})[0])
     split = [v.witness for v in validate(p).violations
@@ -48,10 +37,10 @@ def test_validate_requires_split_triangles(tmp_path):
     assert main(["validate", "--model", str(path)]) == 1
 
 
-def test_each_violation_listed_once():
+def test_each_violation_listed_once(split_probe):
     # K acting on itself is checked once, not once more as its module, and
     # a missing (x, x, 0) is only the split triangle with y = 0
-    violations = validate(_split_probe()).violations
+    violations = validate(split_probe).violations
     assert len(violations) == len(set(violations))
     assert len([v for v in violations if v.rule == "triangle-split"]) == 9
 

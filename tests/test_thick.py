@@ -1,18 +1,21 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
                  generate, identity_operator, is_thick, monoid_report,
-                 principal, summands, support_model, witnesses)
-from ttg.presentation import UnknownObjectError
-from ttg.thick import GenerationError
+                 principal, self_module, summands, support_model,
+                 witnesses)
+from ttg.presentation import UnknownObjectError, rotation_closure
+from ttg.thick import GenerationError, _checked
 
 from oracles import (all_subsets, brute_thick_sets, least_cofactor,
-                     minimal_thick_superset, summands_by_scan)
+                     minimal_thick_superset, summands_by_scan,
+                     thick_check_by_scan)
 
 
 def test_is_thick_examples(support2):
@@ -33,6 +36,55 @@ def test_is_thick_zero_required(support2):
 def test_is_thick_unknown_id(support2):
     with pytest.raises(UnknownObjectError):
         is_thick(support2, {17})
+
+
+def test_checked_ids_match_check_object(support2):
+    for x in (0, 3, True, False, 1.0, 4, 99, -1, "a", None):
+        try:
+            support2.check_object(x)
+            expected = None
+        except UnknownObjectError as exc:
+            expected = str(exc)
+        for X in ({x}, {0, x}):
+            try:
+                assert _checked(support2, X) == frozenset(X)
+                got = None
+            except UnknownObjectError as exc:
+                got = str(exc)
+            assert got == expected, x
+
+
+def _passes_scan_prefix(p, rng, count):
+    """Seeded sets closed under zero, the action and summands, so that
+    ``is_thick`` reaches its triangle and sum conditions."""
+    summands = [summands_by_scan(p, x) for x in range(p.n_objects)]
+    orbit = [set().union(*(summands[p.action[a][m]]
+                           for a in range(p.base.n_objects)))
+             for m in range(p.n_objects)]
+    for _ in range(count):
+        s = {p.zero} | set(rng.sample(range(p.n_objects), rng.randint(0, 3)))
+        while True:
+            grown = s.union(*(orbit[m] for m in s))
+            if grown == s:
+                break
+            s = grown
+        yield frozenset(s)
+
+
+def test_is_thick_matches_scan(support2, support3, chain3, graded2):
+    def agree(p, s):
+        check = is_thick(p, s)
+        assert (check.ok, check.condition, check.witness) == \
+            thick_check_by_scan(p, s), (p.names, sorted(s))
+        return check.condition
+
+    for p in (support2, chain3, support3):
+        for s in all_subsets(range(p.n_objects)):
+            agree(p, s)
+    rng = random.Random(8)
+    conditions = {agree(p, s) for p in (support_model(4), graded2)
+                  for s in _passes_scan_prefix(p, rng, 300)}
+    assert {"", "triangle"} <= conditions
 
 
 def test_bar_examples(support2):
@@ -198,10 +250,28 @@ def test_finite_principality(support2, support3, chain3, graded2):
             assert add(p, X, ()) == generate(p, X)[0]
 
 
-def test_principal_table_matches_oracle(support2, support3, chain3):
-    for p in (support2, support3, chain3, chain_model(6)):
+def test_principal_table_matches_oracle(support2, support3, chain3, graded2,
+                                       restrict2):
+    for p in (support2, support3, chain3, chain_model(6), graded2, restrict2):
+        thick = brute_thick_sets(p)
         for m in range(p.n_objects):
-            assert p.principals[m] == minimal_thick_superset(p, {m})
+            # minimal_thick_superset(p, {m}), the thick sets found once
+            assert p.principals[m] == frozenset.intersection(
+                *[s for s in thick if m in s])
+
+
+def test_principal_table_matches_generate(split_probe):
+    # also on presentations that fail validate: the table and generate
+    # apply the same two rules, whether or not their fixpoint is thick.
+    # Every valid model here stores (y, x) -> n with (x, y) -> n; storing
+    # only the rotations of (b, a, z) gives (a, z) -> b but not (z, a) -> b.
+    z, a, b, t = range(4)
+    cat = split_probe.base
+    one_way = self_module(replace(
+        cat, triangles=rotation_closure({(b, a, z)}, cat.translate)))
+    for p in (support_model(5), chain_model(10), split_probe, one_way):
+        for m in range(p.n_objects):
+            assert p.principals[m] == generate(p, {m})[0], (p.names, m)
 
 
 def test_derived_tables_are_tuples(support3):
