@@ -15,7 +15,7 @@ from . import docio
 from .docio import DocumentError, ModelInvalidError, model_digest
 from .monoid import MonoidError, monoid_report
 from .operators import OperatorError, classify, identity_operator
-from .presentation import PresentationError, validate
+from .presentation import MAX_OBJECTS_DEFAULT, PresentationError, validate
 from .space import (basis_properties, enumerate_smod, fixed_points,
                     spectral_report, ultrafilter_check)
 from .thick import GenerationError, generate, witnesses
@@ -240,7 +240,7 @@ def build_parser():
     def common(sp, operator=False, dot=False):
         sp.add_argument("--model", required=True, help="model JSON file")
         sp.add_argument("--out", help="write the structured report to a file")
-        sp.add_argument("--max-objects", type=int, default=16)
+        sp.add_argument("--max-objects", type=int, default=MAX_OBJECTS_DEFAULT)
         if operator:
             sp.add_argument("--operator", default="identity",
                             help="named operator from the model, or 'identity'")

@@ -11,9 +11,9 @@ import json
 
 from .operators import (OperatorError, division, from_family, identity_operator,
                         radical, table_operator)
-from .presentation import (CategoryPresentation, ModulePresentation,
-                           ResourceError, rotation_closure, self_module,
-                           validate)
+from .presentation import (MAX_OBJECTS_DEFAULT, CategoryPresentation,
+                           ModulePresentation, ResourceError,
+                           rotation_closure, self_module, validate)
 
 
 class DocumentError(Exception):
@@ -151,7 +151,7 @@ def _build_operator(p, name, spec):
     return table_operator(p, table)
 
 
-def load_document(doc, max_objects=16):
+def load_document(doc, max_objects=MAX_OBJECTS_DEFAULT):
     """Build a validated presentation and named operators from a parsed doc."""
     _dict(doc, "document")
     if "category" not in doc:
@@ -177,7 +177,7 @@ def load_document(doc, max_objects=16):
     return p, operators
 
 
-def load(path, max_objects=16):
+def load(path, max_objects=MAX_OBJECTS_DEFAULT):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, product
 
 from .operators import OperatorError
 from .space import enumerate_smod, fixed_points
-from .thick import _checked, add
+from .thick import _checked, _closure, add
 
 
 class MonoidError(Exception):
@@ -29,6 +29,8 @@ def _fixed_space(c):
 
 def _require_fixed(c, N):
     N = _checked(c.presentation, N)
+    if _closure(c.presentation, N) != N:
+        raise MonoidError("submodule %r is not thick" % (sorted(N),))
     if c.apply(N) != N:
         raise MonoidError("submodule %r is not fixed by the operator" % (sorted(N),))
     return N
@@ -123,11 +125,13 @@ def monoid_report(c):
     """Join each pair of points once and verify every monoid axiom plus
     continuity on that one table; failures are critical report entries.
 
-    The join is symmetric, so the identity's row decides neutrality.
-    Continuity of each translation implies joint continuity: finite spaces
-    are Alexandrov spaces, where continuous means monotone for the
-    specialization order, which on a product is componentwise
-    (Alexandroff 1937).
+    The join reads only N | N2, so cells (i, j) and (j, i) are one
+    computation: each unordered pair is joined once and fills both cells,
+    which makes the operation commutative by construction; for the same
+    reason the identity's row decides neutrality.  Continuity of each
+    translation implies joint continuity: finite spaces are Alexandrov
+    spaces, where continuous means monotone for the specialization order,
+    which on a product is componentwise (Alexandroff 1937).
     """
     p = c.presentation
     try:
@@ -140,21 +144,19 @@ def monoid_report(c):
     index = {pt: i for i, pt in enumerate(points)}
     n = len(points)
     witnesses = []
-    cells = [tuple(_join(c, N, N2) for N2 in points) for N in points]
+    joins = {(i, j): _join(c, points[i], points[j])
+             for i, j in combinations_with_replacement(range(n), 2)}
+    cells = [tuple(joins[min(i, j), max(i, j)] for j in range(n))
+             for i in range(n)]
     for i, j in product(range(n), repeat=2):
         if cells[i][j] not in index:
             witnesses.append(("closed", (i, j, tuple(sorted(cells[i][j])))))
     closed = not witnesses
     op_table = tuple(tuple(index.get(out) for out in row) for row in cells)
 
-    commutative = True
     associative = True
     idempotent = True
     if closed:
-        for i, j in combinations_with_replacement(range(n), 2):
-            if op_table[i][j] != op_table[j][i]:
-                commutative = False
-                witnesses.append(("commutative", (i, j)))
         for i in range(n):
             if op_table[i][i] != i:
                 idempotent = False
@@ -178,5 +180,5 @@ def monoid_report(c):
             continuous = False
             witnesses.append(("continuous", (i,) + tuple(
                 m for m, ok, _, _ in rep.entries if not ok)))
-    return MonoidReport(space, op_table, e_idx, closed, commutative, associative,
+    return MonoidReport(space, op_table, e_idx, closed, True, associative,
                         neutral, idempotent, continuous, tuple(witnesses))

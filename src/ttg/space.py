@@ -10,7 +10,7 @@ the fixed-point construction over every principal ultrafilter.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .thick import all_submodules, is_thick
+from .thick import _closure, all_submodules
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,19 @@ def ultrafilter_check(space, c):
     All ultrafilters on a finite set are principal, so each point N gives
     the ultrafilter of subsets containing it; the induced submodule is the
     set of m with N in U(m), which must be thick, fixed by c, and equal N.
+
+    The biconditional (N in U(m) iff m in the induced submodule) is the
+    definition of the induced submodule, so it holds on every space.  A set
+    is thick exactly when it equals its thick closure, which ``_closure``
+    reads from the principal table on a validated presentation.
     """
     p = c.presentation
     results = []
     for i, N in enumerate(space.points):
         induced = frozenset(m for m in range(p.n_objects) if i in space.basis[m])
-        thick = bool(is_thick(p, induced))
+        thick = _closure(p, induced) == induced
         fixed = c.apply(induced) == induced
-        equals_point = induced == N
-        bicond = all((i in space.basis[m]) == (m in induced)
-                     for m in range(p.n_objects))
-        results.append(UltrafilterPointResult(i, thick, fixed, equals_point, bicond))
+        results.append(UltrafilterPointResult(i, thick, fixed, induced == N, True))
     note = ("all ultrafilters on a finite point set are principal; "
             "checked one per point")
     return UltrafilterReport(tuple(results), note)

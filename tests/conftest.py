@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 from dataclasses import replace
 
@@ -6,8 +7,11 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from ttg import (CategoryPresentation, ModulePresentation, chain_model,
-                 self_module, support_model, table_operator)
+from ttg import (CategoryPresentation, ModulePresentation, all_submodules,
+                 chain_model, division, from_family, identity_operator,
+                 radical, self_module, support_model, table_operator)
+from ttg.docio import load
+from ttg.operators import OperatorSpec
 from ttg.presentation import rotation_closure
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -102,3 +106,50 @@ def promote(chain3):
 @pytest.fixture(scope="session")
 def models_dir():
     return MODELS_DIR
+
+
+def random_family_operator(p, rng):
+    """The family operator of a seeded sample of thick submodules, together
+    with the full module, closed under intersection."""
+    subs = all_submodules(p)
+    members = {frozenset(range(p.n_objects))}
+    members |= set(rng.sample(subs, rng.randint(0, len(subs))))
+    while True:
+        more = {f & g for f in members for g in members} - members
+        if not more:
+            return from_family(p, members)
+        members |= more
+
+
+@pytest.fixture(scope="session")
+def operator_cases(support2, support3, chain3, graded2):
+    """Operators on which the derived checks are compared with the oracles:
+    identity and every named operator of the shipped models; identity and
+    radical on support_model(4), chain_model(6) and graded2; division by ab
+    on support_model(4); seeded table, family and raw principal-table
+    operators (raw tables need be neither thick nor extensive, with or
+    without the repair); and an operator that is not extensive."""
+    cases = []
+    for name in ("support2", "support3", "chain3"):
+        p, operators, _ = load(os.path.join(MODELS_DIR, name + ".json"))
+        cases += [identity_operator(p)] + [operators[k] for k in sorted(operators)]
+    support4 = support_model(4)
+    for p in (support4, chain_model(6), graded2):
+        cases += [identity_operator(p), radical(p)]
+    cases.append(division(support4, {support4.names.index("ab")}))
+    rng = random.Random(11)
+    for p in (support2, chain3, support3):
+        subs = all_submodules(p)
+        objects = range(p.n_objects)
+        for _ in range(24):
+            cases.append(table_operator(
+                p, {m: rng.choice([N for N in subs if m in N]) for m in objects}))
+        for _ in range(12):
+            cases.append(random_family_operator(p, rng))
+        for _ in range(12):
+            table = tuple(frozenset(rng.sample(objects, rng.randint(0, p.n_objects)))
+                          for _ in objects)
+            cases.append(OperatorSpec("table", p, table, repair=rng.random() < 0.5))
+    cases.append(OperatorSpec("table", support2,
+                              (frozenset({0}),) * support2.n_objects))
+    return tuple(cases)

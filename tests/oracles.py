@@ -1,15 +1,17 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written directly from the defining conditions, without
-going through the library's checkers or fixpoint machinery.  The one
-exception is ``monoid_op_by_definition``: it joins with ``generate``, the
+going through the library's checkers or fixpoint machinery.  Two
+exceptions: ``monoid_op_by_definition`` joins with ``generate``, the
 certificate-recording fixpoint that the library's join does not use and
-that the tests check against ``minimal_thick_superset``.
+that the tests check against ``minimal_thick_superset``; and
+``classify_by_definition`` ranges over ``all_submodules`` and the principal
+table, which the tests check against ``brute_thick_sets``.
 """
 
 from itertools import combinations
 
-from ttg import generate
+from ttg import all_submodules, generate
 
 
 def thick_by_definition(p, s):
@@ -241,3 +243,55 @@ def jointly_continuous(space, op_table):
                for k in least[i] for l in least[j]):
             return False
     return True
+
+
+def classify_by_definition(p, c):
+    """The four operator flags and their witnesses, every condition checked
+    over every thick submodule: extensive, idempotent and finite type point
+    by point, then order preservation over every pair N <= N2."""
+    subs = all_submodules(p)
+    witnesses = []
+    extensive = order_preserving = idempotent = finite_type = True
+    values = {N: c.apply(N) for N in subs}
+    for N in subs:
+        if extensive and not N <= values[N]:
+            extensive = False
+            witnesses.append(("extensive", tuple(sorted(N))))
+        if idempotent and c.apply(values[N]) != values[N]:
+            idempotent = False
+            witnesses.append(("idempotent", tuple(sorted(N))))
+        if finite_type:
+            union = frozenset().union(*(values[p.principals[n]] for n in N))
+            if union != values[N]:
+                finite_type = False
+                witnesses.append(("finite_type", tuple(sorted(N))))
+    for N in subs:
+        for N2 in subs:
+            if N <= N2 and not values[N] <= values[N2]:
+                order_preserving = False
+                witnesses.append(("order_preserving",
+                                  (tuple(sorted(N)), tuple(sorted(N2)))))
+                break
+        if not order_preserving:
+            break
+    return (extensive, order_preserving, idempotent, finite_type,
+            tuple(witnesses))
+
+
+def ultrafilter_by_definition(space, c):
+    """(point, thick, fixed, equals_point, biconditional) for every point.
+
+    The principal ultrafilter at point i holds the basic opens U(m) that
+    contain i; the induced set is every m whose U(m) it holds.  Thickness
+    is decided from the defining conditions, and the biconditional is
+    checked object by object against the ultrafilter."""
+    p = c.presentation
+    out = []
+    for i, N in enumerate(space.points):
+        ultrafilter = {m for m, U in enumerate(space.basis) if i in U}
+        induced = frozenset(m for m in range(p.n_objects) if m in ultrafilter)
+        bicond = all((m in ultrafilter) == (m in induced)
+                     for m in range(p.n_objects))
+        out.append((i, thick_by_definition(p, induced),
+                    c.apply(induced) == induced, induced == N, bicond))
+    return tuple(out)

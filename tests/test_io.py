@@ -161,6 +161,35 @@ def test_cli_spectral(models_dir):
                  "--operator", "promote"]) == 0
 
 
+@pytest.mark.parametrize("model,operator", [("chain3", "promote"),
+                                            ("support2", "rad")])
+def test_cli_operators(models_dir, tmp_path, model, operator):
+    out = tmp_path / "operators.json"
+    assert main(["operators", "--model", model_path(models_dir, model),
+                 "--operator", operator, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["passed"] is True and data["operator"] == operator
+    flags = data["flags"]
+    assert flags["extensive"] and flags["order_preserving"]
+    assert flags["finite_type"]
+    # promote is not idempotent: it needs c-infinity to reach its fixed points
+    assert flags["idempotent"] == (operator != "promote")
+    assert data["witnesses"] == ([] if operator != "promote" else
+                                 [["idempotent", [0, 1]]])
+
+
+def test_cli_ultrafilter(models_dir, tmp_path):
+    out = tmp_path / "ultrafilter.json"
+    assert main(["ultrafilter", "--model", model_path(models_dir, "support2"),
+                 "--operator", "div_a", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["passed"] is True and data["operator"] == "div_a"
+    assert [p["point"] for p in data["points"]] == list(range(2))
+    for point in data["points"]:
+        assert all(point[k] is True for k in
+                   ("thick", "fixed", "equals_point", "biconditional"))
+
+
 def test_cli_unknown_operator(models_dir):
     assert main(["spectral", "--model", model_path(models_dir, "support2"),
                  "--operator", "nope"]) == 2

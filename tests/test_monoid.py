@@ -124,6 +124,21 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
         add(support2, {bad}, full)
 
 
+def test_monoid_entry_points_reject_non_thick(support2):
+    z, a, b, t = range(4)
+    c = identity_operator(support2)
+    N = frozenset({z, a, b})  # a + b = t is missing
+    assert c.apply(N) == N
+    with pytest.raises(MonoidError, match="not thick"):
+        monoid_op(c, N, {z})
+    with pytest.raises(MonoidError, match="not thick"):
+        monoid_op(c, {z}, N)
+    with pytest.raises(MonoidError, match="not thick"):
+        nc_set(c, N, t)
+    with pytest.raises(MonoidError, match="not thick"):
+        continuity_check(c, N)
+
+
 def test_table_operator_repairs_raw_union(support2):
     z, a, b, t = range(4)
     full = frozenset(range(4))

@@ -9,8 +9,9 @@ from ttg.monoid import MonoidError
 from ttg.operators import FamilyError, OperatorError
 from ttg.presentation import support_model
 
-from oracles import (all_subsets, division_scan, family_violation,
-                     iterate_operator, mult_closed_sets, radical_scan)
+from oracles import (all_subsets, classify_by_definition, division_scan,
+                     family_violation, iterate_operator, mult_closed_sets,
+                     radical_scan)
 
 
 def full(p):
@@ -256,3 +257,17 @@ def test_validate_family_of_all_support4_submodules():
     family = validate_family(p, subs)
     assert perf_counter() - started < 2
     assert family.members == frozenset(subs) and len(subs) == 16
+
+
+def test_classify_matches_definition(operator_cases):
+    """Order preservation and finite type, which classify derives, agree
+    with the exhaustive loops, flags and witnesses alike."""
+    flags = set()
+    for c in operator_cases:
+        p = c.presentation
+        cls = classify(p, c)
+        assert (cls.extensive, cls.order_preserving, cls.idempotent,
+                cls.finite_type, cls.witnesses) == classify_by_definition(p, c)
+        flags.add((cls.extensive, cls.idempotent))
+    assert len(operator_cases) > 130
+    assert flags == {(True, True), (True, False), (False, True), (False, False)}

@@ -1,16 +1,18 @@
 import os
+import random
 from time import perf_counter
 
 import pytest
 
-from ttg import (basis_properties, classify, division, enumerate_smod,
-                 fixed_points, from_family, identity_operator, radical,
-                 spectral_report, ultrafilter_check)
+from ttg import (all_submodules, basis_properties, classify, division,
+                 enumerate_smod, fixed_points, from_family, identity_operator,
+                 radical, spectral_report, ultrafilter_check)
 from ttg.docio import load
 from ttg.presentation import chain_model, support_model, validate
 from ttg.space import SModSpace, make_space
 
-from oracles import brute_thick_sets, spectral_by_definition
+from oracles import (brute_thick_sets, spectral_by_definition,
+                     ultrafilter_by_definition)
 
 
 def test_enumerate_support2(support2):
@@ -115,6 +117,51 @@ def test_ultrafilter_promote(chain3, promote):
     idx = list(fixed.points).index(frozenset({0}))
     # only U(zero) contains the zero submodule
     assert [m for m in range(chain3.n_objects) if idx in fixed.basis[m]] == [0]
+
+
+def _ultrafilter_rows(space, c):
+    return tuple((r.point, r.thick, r.fixed, r.equals_point, r.biconditional)
+                 for r in ultrafilter_check(space, c).results)
+
+
+def test_ultrafilter_matches_definition(operator_cases):
+    for c in operator_cases:
+        smod = enumerate_smod(c.presentation)
+        for space in (smod, fixed_points(smod, c)):
+            assert (_ultrafilter_rows(space, c)
+                    == ultrafilter_by_definition(space, c))
+
+
+def _hand_built_space(p, rng):
+    """Some thick and some arbitrary points, and the membership basis with
+    one to four entries flipped."""
+    subs = list(all_submodules(p))
+    points = rng.sample(subs, rng.randint(1, len(subs)))
+    points += [frozenset(rng.sample(range(p.n_objects),
+                                    rng.randint(0, p.n_objects)))
+               for _ in range(rng.randint(0, 3))]
+    points = tuple(dict.fromkeys(points))
+    flips = {(rng.randrange(p.n_objects), rng.randrange(len(points)))
+             for _ in range(rng.randint(1, 4))}
+    basis = tuple(frozenset(i for i, pt in enumerate(points)
+                            if (m in pt) != ((m, i) in flips))
+                  for m in range(p.n_objects))
+    return SModSpace(points, basis, frozenset())
+
+
+def test_ultrafilter_matches_definition_on_hand_built_spaces(operator_cases):
+    """Spaces whose basis is not the membership basis, so that the induced
+    submodule can differ from its point and fail to be thick or fixed."""
+    rng = random.Random(5)
+    cases = [c for c in operator_cases if c.presentation.n_objects <= 8]
+    seen = set()
+    for _ in range(240):
+        c = rng.choice(cases)
+        space = _hand_built_space(c.presentation, rng)
+        rows = ultrafilter_by_definition(space, c)
+        assert _ultrafilter_rows(space, c) == rows
+        seen |= {(k, row[k]) for row in rows for k in (1, 2, 3)}
+    assert seen == {(k, v) for k in (1, 2, 3) for v in (True, False)}
 
 
 def test_basis_properties_models(support2, support3, chain3):
