@@ -15,28 +15,10 @@ from . import docio
 from .docio import DocumentError, ModelInvalidError, model_digest
 from .monoid import MonoidError, monoid_report
 from .operators import OperatorError, classify, identity_operator
-from .presentation import MAX_OBJECTS_DEFAULT, PresentationError, validate
+from .presentation import MAX_OBJECTS_DEFAULT, PresentationError
 from .space import (basis_properties, enumerate_smod, fixed_points,
                     spectral_report, ultrafilter_check)
 from .thick import GenerationError, generate, witnesses
-
-
-def _parse_seed(p, seed_text):
-    if not seed_text:
-        return frozenset()
-    index = {name: i for i, name in enumerate(p.names)}
-    out = set()
-    for token in seed_text.split(","):
-        token = token.strip()
-        if token not in index:
-            raise DocumentError("unknown object name %r in seed" % token)
-        out.add(index[token])
-    return frozenset(out)
-
-
-def _load(args):
-    p, operators, doc = docio.load(args.model, max_objects=args.max_objects)
-    return p, operators, doc
 
 
 def _operator(p, operators, name):
@@ -51,13 +33,18 @@ def _names(p, members):
     return [p.names[m] for m in sorted(members)]
 
 
-def _emit(args, report, human_lines):
-    for line in human_lines:
-        print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return 0 if report["passed"] else 1
+def _seed(p, text):
+    if not text:
+        return frozenset()
+    resolve = docio._resolver(p.names, "seed")
+    return frozenset(resolve(token.strip()) for token in text.split(","))
+
+
+def _flags(obj, names):
+    return {name: getattr(obj, name) for name in names}
+
+
+_CLASSIFY_FLAGS = ("extensive", "order_preserving", "idempotent", "finite_type")
 
 
 def _write_dot(args, text):
@@ -66,169 +53,116 @@ def _write_dot(args, text):
             fh.write(text)
 
 
-def cmd_validate(args):
-    try:
-        p, _, doc = _load(args)
-    except ModelInvalidError as exc:
-        report = {"command": "validate",
-                  "checks": [{"name": "axioms", "passed": False,
-                              "violations": exc.messages}],
-                  "passed": False}
-        return _emit(args, report, ["validate: FAIL"]
-                     + ["  " + m for m in exc.messages])
-    report = {"command": "validate", "digest": model_digest(doc),
-              "checks": [{"name": "axioms", "passed": True}], "passed": True}
-    return _emit(args, report, ["validate: ok (%d objects, %d triangles)"
-                                % (p.n_objects, len(p.triangles))])
+def cmd_validate(args, p, operators):
+    return ({"checks": [{"name": "axioms", "passed": True}], "passed": True},
+            ["validate: ok (%d objects, %d triangles)"
+             % (p.n_objects, len(p.triangles))])
 
 
-def cmd_generate(args):
-    p, _, doc = _load(args)
-    seed = _parse_seed(p, args.seed)
+def cmd_generate(args, p, operators):
+    seed = _seed(p, args.seed)
     members, cert = generate(p, seed)
     listing = [{"object": p.names[m], "stage": cert.records[m].stage,
                 "via": cert.records[m].kind} for m in sorted(members)]
-    report = {"command": "generate", "digest": model_digest(doc),
-              "seed": _names(p, seed), "members": listing, "passed": True}
     lines = ["generated submodule (%d members):" % len(members)]
     lines += ["  %-6s stage %d (%s)" % (e["object"], e["stage"], e["via"])
               for e in listing]
-    return _emit(args, report, lines)
+    return {"seed": _names(p, seed), "members": listing, "passed": True}, lines
 
 
-def cmd_witness(args):
-    p, _, doc = _load(args)
-    seed = _parse_seed(p, args.seed)
-    index = {name: i for i, name in enumerate(p.names)}
-    if args.target not in index:
+def cmd_witness(args, p, operators):
+    seed = _seed(p, args.seed)
+    if args.target not in p.names:
         raise DocumentError("unknown target object %r" % args.target)
-    target = index[args.target]
+    target = p.names.index(args.target)
     members, cert = generate(p, seed)
     if target not in members:
         raise GenerationError("target %s is not generated by the seed" % args.target)
-    w = witnesses(cert, target, seed)
-    report = {"command": "witness", "digest": model_digest(doc),
-              "seed": _names(p, seed), "target": args.target,
-              "witnesses": _names(p, w), "passed": True}
-    return _emit(args, report, ["witnesses for %s: %s"
-                                % (args.target, ",".join(_names(p, w)) or "(none)")])
+    w = _names(p, witnesses(cert, target, seed))
+    return ({"seed": _names(p, seed), "target": args.target, "witnesses": w,
+             "passed": True},
+            ["witnesses for %s: %s" % (args.target, ",".join(w) or "(none)")])
 
 
-def cmd_smod(args):
-    p, _, doc = _load(args)
+def cmd_smod(args, p, operators):
     space = enumerate_smod(p)
-    report = {"command": "smod", "digest": model_digest(doc),
-              "points": [_names(p, pt) for pt in space.points], "passed": True}
     _write_dot(args, docio.specialization_dot(p, space))
     lines = ["SMod has %d points:" % len(space.points)]
     lines += ["  " + docio.point_label(p, pt) for pt in space.points]
-    return _emit(args, report, lines)
+    return ({"points": [_names(p, pt) for pt in space.points], "passed": True},
+            lines)
 
 
-def cmd_operators(args):
-    p, operators, doc = _load(args)
+def cmd_operators(args, p, operators):
     c = _operator(p, operators, args.operator)
     cls = classify(p, c)
-    flags = {"extensive": cls.extensive, "order_preserving": cls.order_preserving,
-             "idempotent": cls.idempotent, "finite_type": cls.finite_type}
-    report = {"command": "operators", "digest": model_digest(doc),
-              "operator": args.operator, "kind": c.kind, "flags": flags,
-              "witnesses": list(cls.witnesses), "passed": True}
+    flags = _flags(cls, _CLASSIFY_FLAGS)
     lines = ["operator %s (%s):" % (args.operator, c.kind)]
     lines += ["  %-16s %s" % (k, v) for k, v in flags.items()]
-    return _emit(args, report, lines)
+    return ({"operator": args.operator, "kind": c.kind, "flags": flags,
+             "witnesses": list(cls.witnesses), "passed": True}, lines)
 
 
-def cmd_spectral(args):
-    p, operators, doc = _load(args)
+def cmd_spectral(args, p, operators):
     c = _operator(p, operators, args.operator)
     space = fixed_points(enumerate_smod(p), c)
     rep = spectral_report(space)
-    report = {"command": "spectral", "digest": model_digest(doc),
-              "operator": args.operator, "points": len(space.points),
-              "flags": {"t0": rep.t0, "sober": rep.sober,
-                        "basis_quasi_compact": rep.basis_quasi_compact,
-                        "basis_intersection_closed": rep.basis_intersection_closed,
-                        "spectral": rep.spectral},
-              "witnesses": list(rep.witnesses), "notes": list(rep.notes),
-              "passed": rep.spectral}
     _write_dot(args, docio.specialization_dot(p, space))
-    lines = ["fixed-point space: %d points" % len(space.points),
-             "spectral: %s" % rep.spectral]
-    return _emit(args, report, lines)
+    return ({"operator": args.operator, "points": len(space.points),
+             "flags": _flags(rep, ("t0", "sober", "basis_quasi_compact",
+                                   "basis_intersection_closed", "spectral")),
+             "witnesses": list(rep.witnesses), "notes": list(rep.notes),
+             "passed": rep.spectral},
+            ["fixed-point space: %d points" % len(space.points),
+             "spectral: %s" % rep.spectral])
 
 
-def cmd_ultrafilter(args):
-    p, operators, doc = _load(args)
+def cmd_ultrafilter(args, p, operators):
     c = _operator(p, operators, args.operator)
-    space = fixed_points(enumerate_smod(p), c)
-    rep = ultrafilter_check(space, c)
-    report = {"command": "ultrafilter", "digest": model_digest(doc),
-              "operator": args.operator, "note": rep.note,
-              "points": [{"point": r.point, "thick": r.thick, "fixed": r.fixed,
-                          "equals_point": r.equals_point,
-                          "biconditional": r.biconditional}
-                         for r in rep.results],
-              "passed": rep.passed}
-    return _emit(args, report, ["ultrafilter check over %d principal ultrafilters: %s"
-                                % (len(rep.results), "pass" if rep.passed else "FAIL")])
+    rep = ultrafilter_check(fixed_points(enumerate_smod(p), c), c)
+    points = [{"point": r.point, "thick": r.thick, "fixed": r.fixed,
+               "equals_point": r.equals_point, "biconditional": r.biconditional}
+              for r in rep.results]
+    return ({"operator": args.operator, "note": rep.note, "points": points,
+             "passed": rep.passed},
+            ["ultrafilter check over %d principal ultrafilters: %s"
+             % (len(rep.results), "pass" if rep.passed else "FAIL")])
 
 
-def cmd_monoid(args):
-    p, operators, doc = _load(args)
-    c = _operator(p, operators, args.operator)
-    rep = monoid_report(c)
-    report = {"command": "monoid", "digest": model_digest(doc),
-              "operator": args.operator, "points": len(rep.space.points),
-              "identity": rep.identity,
-              "flags": {"closed": rep.closed, "commutative": rep.commutative,
-                        "associative": rep.associative, "neutral": rep.neutral,
-                        "idempotent": rep.idempotent, "continuous": rep.continuous},
-              "witnesses": list(rep.witnesses), "passed": rep.passed}
+def cmd_monoid(args, p, operators):
+    rep = monoid_report(_operator(p, operators, args.operator))
     _write_dot(args, docio.monoid_dot(p, rep))
-    lines = ["monoid on %d points: %s" % (len(rep.space.points),
-                                          "pass" if rep.passed else "FAIL")]
-    return _emit(args, report, lines)
+    return ({"operator": args.operator, "points": len(rep.space.points),
+             "identity": rep.identity,
+             "flags": _flags(rep, ("closed", "commutative", "associative",
+                                   "neutral", "idempotent", "continuous")),
+             "witnesses": list(rep.witnesses), "passed": rep.passed},
+            ["monoid on %d points: %s" % (len(rep.space.points),
+                                          "pass" if rep.passed else "FAIL")])
 
 
-def cmd_report(args):
-    p, operators, doc = _load(args)
-    checks = []
-    passed = True
-    space = enumerate_smod(p)
-    basis = basis_properties(p, space)
-    checks.append({"name": "basis_properties", "passed": basis.passed,
-                   "witnesses": list(basis.witnesses)})
-    passed &= basis.passed
-    names = ["identity"] + sorted(operators)
-    for name in names:
+def cmd_report(args, p, operators):
+    basis = basis_properties(p, enumerate_smod(p))
+    checks = [{"name": "basis_properties", "passed": basis.passed,
+               "witnesses": list(basis.witnesses)}]
+    for name in ["identity"] + sorted(operators):
         c = _operator(p, operators, name)
         cls = classify(p, c)
-        entry = {"name": "operator:" + name,
-                 "flags": {"extensive": cls.extensive,
-                           "order_preserving": cls.order_preserving,
-                           "idempotent": cls.idempotent,
-                           "finite_type": cls.finite_type},
-                 "gate": cls.gate}
-        if cls.gate:
+        entry = {"name": "operator:" + name, "flags": _flags(cls, _CLASSIFY_FLAGS),
+                 "gate": cls.gate, "passed": True}
+        if cls.gate:  # a non-gated operator is classified only
             mrep = monoid_report(c)
             srep = spectral_report(mrep.space)
             urep = ultrafilter_check(mrep.space, c)
-            entry["spectral"] = srep.spectral
-            entry["ultrafilter"] = urep.passed
-            entry["monoid"] = mrep.passed
-            entry["passed"] = srep.spectral and urep.passed and mrep.passed
-        else:
-            entry["passed"] = True  # a non-gated operator is classified only
+            entry.update(spectral=srep.spectral, ultrafilter=urep.passed,
+                         monoid=mrep.passed,
+                         passed=srep.spectral and urep.passed and mrep.passed)
         checks.append(entry)
-        passed &= entry["passed"]
-    report = {"command": "report", "digest": model_digest(doc),
-              "checks": checks, "passed": bool(passed)}
+    passed = all(entry["passed"] for entry in checks)
     lines = ["full report: %s" % ("pass" if passed else "FAIL")]
-    for entry in checks:
-        lines.append("  %-24s %s" % (entry["name"],
-                                     "pass" if entry["passed"] else "FAIL"))
-    return _emit(args, report, lines)
+    lines += ["  %-24s %s" % (entry["name"], "pass" if entry["passed"] else "FAIL")
+              for entry in checks]
+    return {"checks": checks, "passed": passed}, lines
 
 
 def build_parser():
@@ -281,11 +215,34 @@ HANDLERS = {
 }
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
+    """Load the model once, run the subcommand on it, print its lines and
+    write its report.  Only ``validate`` reports an invalid model; every
+    other subcommand lets ``ModelInvalidError`` reach ``main``."""
     try:
-        return HANDLERS[args.command](args)
+        p, operators, doc = docio.load(args.model, max_objects=args.max_objects)
+    except ModelInvalidError as exc:
+        if args.command != "validate":
+            raise
+        report = {"checks": [{"name": "axioms", "passed": False,
+                              "violations": exc.messages}], "passed": False}
+        lines = ["validate: FAIL"] + ["  " + m for m in exc.messages]
+    else:
+        report, lines = HANDLERS[args.command](args, p, operators)
+        report["digest"] = model_digest(doc)
+    report["command"] = args.command
+    for line in lines:
+        print(line)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return 0 if report["passed"] else 1
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
     except ModelInvalidError as exc:
         print("invalid model: %s" % exc, file=sys.stderr)
         return 1

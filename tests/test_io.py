@@ -4,14 +4,19 @@ import io
 import json
 import os
 import runpy
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttg.cli
+import ttg.operators
 from ttg import support_model
 from ttg.cli import main
+from ttg.operators import classify
 from ttg.docio import (DocumentError, ModelInvalidError, dump_document, load,
                        load_document, model_digest, normalize_document, save)
 
@@ -71,20 +76,97 @@ def test_digest_stability(models_dir):
     assert model_digest(doc) == model_digest(json.loads(dump_document(doc)))
 
 
-def test_cli_validate_and_exit_codes(models_dir, tmp_path):
-    assert main(["validate", "--model", model_path(models_dir, "support2")]) == 0
-    assert main(["validate", "--model", str(tmp_path / "missing.json")]) == 2
-
+def _broken_model(models_dir, tmp_path):
+    """support2 with a + z = b, which violates the sum unit axiom."""
     broken = tmp_path / "broken.json"
     with open(model_path(models_dir, "support2")) as fh:
         doc = json.load(fh)
     doc["category"]["sum"][1][0] = "b"
     broken.write_text(json.dumps(doc))
-    assert main(["validate", "--model", str(broken)]) == 1
+    return str(broken)
+
+
+def test_cli_validate_and_exit_codes(models_dir, tmp_path):
+    assert main(["validate", "--model", model_path(models_dir, "support2")]) == 0
+    assert main(["validate", "--model", str(tmp_path / "missing.json")]) == 2
+    assert main(["validate", "--model", _broken_model(models_dir, tmp_path)]) == 1
 
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert main(["validate", "--model", str(garbage)]) == 2
+
+
+def test_cli_invalid_model_is_reported_only_by_validate(models_dir, tmp_path,
+                                                        capsys):
+    broken = _broken_model(models_dir, tmp_path)
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--model", broken, "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert "digest" not in data
+    assert data["command"] == "validate" and data["passed"] is False
+    assert data["checks"][0]["name"] == "axioms"
+    assert data["checks"][0]["violations"]
+    assert capsys.readouterr().out.startswith("validate: FAIL\n")
+    for command in ("report", "monoid", "spectral", "smod", "generate"):
+        out = tmp_path / (command + ".json")
+        assert main([command, "--model", broken, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid model: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--seed", "q"], "unknown object name 'q' in seed"),
+    (["generate", "--seed", "a,,b"], "unknown object name '' in seed"),
+    (["witness", "--seed", "a", "--target", "a,b"],
+     "unknown target object 'a,b'"),
+    (["witness", "--seed", "a", "--target", "b"],
+     "target b is not generated by the seed"),
+])
+def test_cli_argument_errors_exit_2(models_dir, capsys, argv, message):
+    assert main(argv + ["--model", model_path(models_dir, "support2")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
+def test_cli_seed_tokens_are_stripped(models_dir, capsys):
+    path = model_path(models_dir, "support2")
+    assert main(["generate", "--model", path, "--seed", " a , b "]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["generate", "--model", path, "--seed", "a,b"]) == 0
+    assert spaced == capsys.readouterr().out
+
+
+def test_cli_report_classifies_each_operator_once(models_dir, monkeypatch):
+    """support2 has identity and four named operators."""
+    calls = []
+
+    def counting(p, c):
+        calls.append(c)
+        return classify(p, c)
+
+    monkeypatch.setattr(ttg.operators, "classify", counting)
+    monkeypatch.setattr(ttg.cli, "classify", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--model", model_path(models_dir, "support2")]) == 0
+    assert len(calls) == 5
+
+
+def test_console_entry_point(models_dir, tmp_path):
+    """``python -m ttg.cli`` runs ``console()``, the ``ttg`` script target."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        assert 'ttg = "ttg.cli:console"' in fh.read()
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+    def ttg_command(*argv):
+        return subprocess.run([sys.executable, "-m", "ttg.cli", *argv], env=env,
+                              capture_output=True, text=True).returncode
+
+    assert ttg_command("report", "--model", model_path(models_dir, "support2")) == 0
+    assert ttg_command("validate", "--model", str(tmp_path / "missing.json")) == 2
 
 
 def _malformed(case, doc):

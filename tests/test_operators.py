@@ -210,6 +210,22 @@ def test_c_infinity_requires_gate(support2):
         monoid_report(bad)
 
 
+def test_c_infinity_gate_matches_classify(operator_cases):
+    """c_infinity decides its gate on the principal table alone; it raises
+    exactly where classify's gate is False."""
+    gated = 0
+    for c in operator_cases:
+        p = c.presentation
+        if classify(p, c).gate:
+            gated += 1
+            c_infinity(p, c)
+        else:
+            with pytest.raises(OperatorError) as err:
+                c_infinity(p, c)
+            assert str(err.value) == "c-infinity requires extensive"
+    assert 0 < gated < len(operator_cases)
+
+
 def test_family_round_trip_on_support2(support2):
     subs = all_submodules(support2)
     valid = []
