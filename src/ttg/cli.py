@@ -9,6 +9,7 @@ when every verdict passes, 1 on check failures, 2 on usage or parse errors.
 
 import argparse
 import json
+import os
 import sys
 
 from . import docio
@@ -255,7 +256,17 @@ def main(argv=None):
 
 
 def console():
-    sys.exit(main())
+    """The ``ttg`` script: exit with ``main``'s status.  When stdout closes
+    early, as under ``| head``, exit 1 without a traceback, pointing stdout
+    at devnull so that the flush at interpreter exit does not fail again
+    (the recipe of the ``signal`` module docs, "Note on SIGPIPE")."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

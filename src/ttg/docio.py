@@ -272,7 +272,7 @@ def monoid_dot(p, report):
         lines.append('  n%d [label="%s"];' % (i, point_label(p, pt)))
     for i, row in enumerate(report.op_table):
         for j, k in enumerate(row):
-            if k is None or j < i:
+            if j < i:
                 continue
             lines.append('  n%d -> n%d [label="with n%d"];' % (i, k, j))
     lines.append("}")

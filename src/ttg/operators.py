@@ -56,13 +56,18 @@ class OperatorClassification:
     order_preserving: bool
     idempotent: bool
     finite_type: bool
+    smod_valued: bool     # c(N) is a thick submodule for every point N
     witnesses: tuple = ()  # (flag name, witness) pairs for false flags
 
     @property
     def gate(self):
-        # Idempotence is deliberately not part of the gate: the spectral and
-        # monoid pipelines need only these three properties.
-        return self.extensive and self.order_preserving and self.finite_type
+        # The paper's c is an operator on SMod(M): it must map thick
+        # submodules to thick submodules.  With extensivity, order
+        # preservation and finite type, c^inf is then a closure operator on
+        # SMod, which is what the monoid derivations rest on.  Idempotence
+        # is deliberately not part of the gate.
+        return (self.extensive and self.order_preserving and self.finite_type
+                and self.smod_valued)
 
     @property
     def closure_operator(self):
@@ -187,10 +192,12 @@ def table_operator(p, table):
 
 
 def classify(p, c):
-    """Decide the four operator properties over SMod(M).
+    """Decide the four operator properties over SMod(M), and whether c maps
+    SMod into SMod.
 
-    Extensivity and idempotence are checked point by point; the other two
-    hold by construction.  ``apply(N)`` is a union over the members of N,
+    Extensivity, idempotence and SMod-valuedness are checked point by
+    point, the last as ``_closure(p, c(N)) == c(N)``; the other two hold by
+    construction.  ``apply(N)`` is a union over the members of N,
     and the repair K(sum of X) of a union X grows with X too, since the sum
     of A is a summand of the sum of B when A lies in B: so c preserves
     order.  Each point N is K(m) for some m in N, so c(N) is one term of
@@ -198,34 +205,42 @@ def classify(p, c):
     because K(n) lies in N: so c has finite type.
     """
     witnesses = []
-    extensive = True
-    idempotent = True
+    extensive = idempotent = smod_valued = True
     for N in all_submodules(p):
         value = c.apply(N)
         if extensive and not N <= value:
             extensive = False
             witnesses.append(("extensive", tuple(sorted(N))))
+        if smod_valued and _closure(p, value) != value:
+            smod_valued = False
+            witnesses.append(("smod_valued", tuple(sorted(N))))
         if idempotent and c.apply(value) != value:
             idempotent = False
             witnesses.append(("idempotent", tuple(sorted(N))))
     return OperatorClassification(extensive, True, idempotent, True,
-                                  tuple(witnesses))
+                                  smod_valued, tuple(witnesses))
 
 
 def c_infinity(p, c):
     """Union of all iterates of c, materialized as a finite-type operator.
 
-    Requires c extensive, order-preserving and finite type; the image then
-    consists of fixed points of c, and evaluation by union of principals
-    agrees with direct iteration (checked in the tests).
+    Requires c to pass the gate of ``classify``: extensive,
+    order-preserving, finite type and SMod-valued.  Each iterate of a
+    point is then a point, the image consists of fixed points of c, and
+    evaluation by union of principals agrees with direct iteration
+    (checked in the tests).
 
     That gate is decided without ``classify``: order preservation and
     finite type hold by construction (see ``classify``), and every point
-    of SMod is a principal K(m), so c is extensive exactly when N lies in
-    c(N) for every N in the principal table.
+    of SMod is a principal K(m), so c is extensive exactly when K(m) lies
+    in c(K(m)), and SMod-valued exactly when c(K(m)) equals its thick
+    closure, for every m.  The first failing condition names the error.
     """
-    if not all(N <= c.apply(N) for N in p.principals):
+    values = [c.apply(N) for N in p.principals]
+    if not all(N <= v for N, v in zip(p.principals, values)):
         raise OperatorError("c-infinity requires extensive")
+    if not all(_closure(p, v) == v for v in values):
+        raise OperatorError("c-infinity requires SMod-valued")
     table = []
     for N in p.principals:
         while True:

@@ -140,6 +140,73 @@ def monoid_op_by_definition(c, N, N2):
     return iterate_operator(c, joined)
 
 
+def monoid_by_definition(c, space, op_table):
+    """(closed, associative, neutral, idempotent) of an operation table,
+    with the first witness of each false flag.
+
+    ``op_table[i][j]`` is the member set of points[i] joined with points[j].
+    The neutral element is the completed join of nothing, c^inf(K(0)); it
+    must be a point whose row and column both give back every point.
+    Associativity is decided only on a closed table."""
+    points = space.points
+    index = {N: i for i, N in enumerate(points)}
+    n = len(points)
+    witnesses = []
+    outside = [(i, j) for i in range(n) for j in range(n)
+               if op_table[i][j] not in index]
+    closed = not outside
+    if outside:
+        witnesses.append(("closed", outside[0]))
+    associative = closed
+    if closed:
+        op = [[index[out] for out in row] for row in op_table]
+        bad = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+               if op[op[i][j]][k] != op[i][op[j][k]]]
+        if bad:
+            associative = False
+            witnesses.append(("associative", bad[0]))
+    e = monoid_op_by_definition(c, (), ())
+    neutral = e in index and all(
+        op_table[index[e]][j] == N == op_table[j][index[e]]
+        for j, N in enumerate(points))
+    if not neutral:
+        witnesses.append(("neutral", tuple(sorted(e))))
+    bad = [i for i in range(n) if op_table[i][i] != points[i]]
+    if bad:
+        witnesses.append(("idempotent", (bad[0],)))
+    return closed, associative, neutral, not bad, tuple(witnesses)
+
+
+def basis_by_definition(p, space):
+    """The five identities of the U(m) basis, each scanned over its whole
+    table, with the first witness of each false one: U(0) is every point;
+    for every stored triangle and position, the basic opens of the other
+    two entries meet inside that entry's; U(m + m2) = U(m) & U(m2);
+    U(m) <= U(a * m); U(Tm) = U(m)."""
+    U = space.basis
+    witnesses = []
+    everything = frozenset(range(len(space.points)))
+    zero = U[p.zero] == everything
+    if not zero:
+        witnesses.append(("zero", tuple(sorted(everything - U[p.zero]))))
+    checks = (
+        ("triangle", [(t, k) for t in sorted(p.triangles) for k in range(3)
+                      if not U[t[(k + 1) % 3]] & U[t[(k + 2) % 3]] <= U[t[k]]]),
+        ("sum", [(m, m2) for m in range(p.n_objects)
+                 for m2 in range(p.n_objects)
+                 if U[p.sum[m][m2]] != U[m] & U[m2]]),
+        ("action", [(a, m) for a in range(p.base.n_objects)
+                    for m in range(p.n_objects)
+                    if not U[m] <= U[p.action[a][m]]]),
+        ("translate", [(m,) for m in range(p.n_objects)
+                       if U[p.translate[m]] != U[m]]),
+    )
+    for name, bad in checks:
+        if bad:
+            witnesses.append((name, bad[0]))
+    return (zero,) + tuple(not bad for _, bad in checks) + (tuple(witnesses),)
+
+
 def generated_opens(npts, basis):
     """Every open of the topology on range(npts) generated by ``basis``.
 
@@ -246,17 +313,23 @@ def jointly_continuous(space, op_table):
 
 
 def classify_by_definition(p, c):
-    """The four operator flags and their witnesses, every condition checked
-    over every thick submodule: extensive, idempotent and finite type point
-    by point, then order preservation over every pair N <= N2."""
+    """The four operator flags, whether c maps SMod into SMod, and their
+    witnesses, every condition checked over every thick submodule:
+    extensive, SMod-valued (from the defining conditions), idempotent and
+    finite type point by point, then order preservation over every pair
+    N <= N2."""
     subs = all_submodules(p)
     witnesses = []
     extensive = order_preserving = idempotent = finite_type = True
+    smod_valued = True
     values = {N: c.apply(N) for N in subs}
     for N in subs:
         if extensive and not N <= values[N]:
             extensive = False
             witnesses.append(("extensive", tuple(sorted(N))))
+        if smod_valued and not thick_by_definition(p, values[N]):
+            smod_valued = False
+            witnesses.append(("smod_valued", tuple(sorted(N))))
         if idempotent and c.apply(values[N]) != values[N]:
             idempotent = False
             witnesses.append(("idempotent", tuple(sorted(N))))
@@ -274,7 +347,7 @@ def classify_by_definition(p, c):
                 break
         if not order_preserving:
             break
-    return (extensive, order_preserving, idempotent, finite_type,
+    return (extensive, order_preserving, idempotent, finite_type, smod_valued,
             tuple(witnesses))
 
 

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances, one line each.
 
 All checks are exhaustive at desk scale over the reference models
-support_model(2), support_model(3) and chain_model(3).
+support_model(2), support_model(3) and chain_model(3).  Criterion 3, whose
+identities the library derives, also runs its scans over support_model(4),
+chain_model(6), graded2 (T != id) and restrict2 (a module M != K).
 """
 
 import json
@@ -9,16 +11,17 @@ import time
 
 import pytest
 
-from ttg import (all_submodules, basis_properties, c_infinity, classify,
-                 division, enumerate_smod, fixed_points, from_family, generate,
-                 identity_operator, monoid_report, principal, radical,
-                 spectral_report, table_operator, ultrafilter_check,
-                 validate_family, witnesses)
+from ttg import (all_submodules, basis_properties, c_infinity, chain_model,
+                 classify, division, enumerate_smod, fixed_points, from_family,
+                 generate, identity_operator, monoid_report, principal,
+                 radical, spectral_report, support_model, table_operator,
+                 ultrafilter_check, validate_family, witnesses)
 from ttg.cli import main
 from ttg.operators import FamilyError
 
-from oracles import (all_subsets, brute_thick_sets, iterate_operator,
-                     minimal_thick_superset, mult_closed_sets)
+from oracles import (all_subsets, basis_by_definition, brute_thick_sets,
+                     iterate_operator, minimal_thick_superset,
+                     mult_closed_sets)
 
 
 def _announce(num, label, started):
@@ -79,11 +82,15 @@ def test_criterion_2_smod_completeness(support2, support3, chain3):
     _announce(2, "SMod completeness", started)
 
 
-def test_criterion_3_basis_properties(support2, support3, chain3):
+def test_criterion_3_basis_properties(support2, support3, chain3, graded2,
+                                      restrict2):
     started = time.time()
-    for p in (support2, support3, chain3):
-        rep = basis_properties(p, enumerate_smod(p))
+    for p in (support2, support3, chain3, support_model(4), chain_model(6),
+              graded2, restrict2):
+        space = enumerate_smod(p)
+        rep = basis_properties(p, space)
         assert rep.passed, rep.witnesses
+        assert basis_by_definition(p, space) == (True,) * 5 + ((),)
     _announce(3, "basis properties", started)
 
 

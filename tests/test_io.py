@@ -154,6 +154,38 @@ def test_cli_report_classifies_each_operator_once(models_dir, monkeypatch):
     assert len(calls) == 5
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone; ``fileno`` is a scratch file, so the
+    devnull redirect touches no descriptor of the test run."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_console_exits_quietly_when_stdout_closes(models_dir, tmp_path,
+                                                  monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "argv", [
+            "ttg", "smod", "--model", model_path(models_dir, "support2")])
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        with pytest.raises(SystemExit) as exit_:
+            ttg.cli.console()
+    finally:
+        os.close(fd)
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_console_entry_point(models_dir, tmp_path):
     """``python -m ttg.cli`` runs ``console()``, the ``ttg`` script target."""
     root = os.path.join(os.path.dirname(__file__), "..")

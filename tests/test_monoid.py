@@ -12,7 +12,8 @@ from ttg.docio import load
 from ttg.monoid import MonoidError
 from ttg.presentation import UnknownObjectError
 
-from oracles import jointly_continuous, monoid_op_by_definition
+from oracles import (jointly_continuous, monoid_by_definition,
+                     monoid_op_by_definition)
 
 
 def test_monoid_op_identity_operator(support2):
@@ -166,8 +167,8 @@ def _shipped_operators(models_dir):
 
 
 def test_monoid_matches_definition(models_dir, support2, support3, chain3,
-                                   graded2):
-    cases = _shipped_operators(models_dir)
+                                   graded2, operator_cases):
+    cases = _shipped_operators(models_dir) + list(operator_cases)
     cases += [identity_operator(support_model(4)), identity_operator(graded2)]
     # on support3 most random tables need the thick-closure repair
     rng = random.Random(7)
@@ -182,8 +183,10 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
         assert rep.space.points == points
         least = [i for i, N in enumerate(points) if all(N <= M for M in points)]
         assert [rep.identity] == least
+        table = []
         for i, N in enumerate(points):
             images = [monoid_op_by_definition(c, N, N2) for N2 in points]
+            table.append(images)
             for j, N2 in enumerate(points):
                 assert monoid_op(c, N, N2) == images[j]
                 assert rep.op_table[i][j] == points.index(images[j])
@@ -198,14 +201,17 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
                 cover = tuple(k for k, M in enumerate(points) if reach & M)
                 entries.append((m, preimage == cover, preimage, cover))
             assert continuity_check(c, N).entries == tuple(entries)
+        assert monoid_by_definition(c, rep.space, table) == (
+            rep.closed, rep.associative, rep.neutral, rep.idempotent,
+            rep.witnesses) == (True, True, True, True, ())
     assert monoid_report(identity_operator(graded2)).passed
 
 
 def test_continuous_flag_matches_joint_continuity_oracle(
-        models_dir, support2, support3, chain3):
-    """Separate continuity of the translations, which monoid_report checks,
-    agrees with continuity on the product space."""
-    cases = _shipped_operators(models_dir)
+        models_dir, support2, support3, chain3, operator_cases):
+    """The continuity monoid_report derives agrees with continuity on the
+    product space."""
+    cases = _shipped_operators(models_dir) + list(operator_cases)
     rng = random.Random(13)
     for p in (support2, chain3, support3):
         cases += _random_table_operators(p, rng, 20)

@@ -2,16 +2,17 @@ from time import perf_counter
 
 import pytest
 
-from ttg import (all_submodules, c_infinity, classify, division, from_family,
-                 identity_operator, is_thick, monoid_report, principal,
-                 radical, table_operator, validate_family)
+from ttg import (all_submodules, c_infinity, classify, division,
+                 enumerate_smod, fixed_points, from_family, identity_operator,
+                 is_thick, monoid_report, principal, radical, table_operator,
+                 validate_family)
 from ttg.monoid import MonoidError
-from ttg.operators import FamilyError, OperatorError
+from ttg.operators import FamilyError, OperatorError, OperatorSpec
 from ttg.presentation import support_model
 
 from oracles import (all_subsets, classify_by_definition, division_scan,
-                     family_violation, iterate_operator, mult_closed_sets,
-                     radical_scan)
+                     family_violation, iterate_operator, monoid_by_definition,
+                     monoid_op_by_definition, mult_closed_sets, radical_scan)
 
 
 def full(p):
@@ -212,18 +213,45 @@ def test_c_infinity_requires_gate(support2):
 
 def test_c_infinity_gate_matches_classify(operator_cases):
     """c_infinity decides its gate on the principal table alone; it raises
-    exactly where classify's gate is False."""
+    exactly where classify's gate is False, naming the first failing
+    condition: extensive, then SMod-valued."""
     gated = 0
     for c in operator_cases:
         p = c.presentation
-        if classify(p, c).gate:
+        cls = classify(p, c)
+        if cls.gate:
             gated += 1
             c_infinity(p, c)
         else:
             with pytest.raises(OperatorError) as err:
                 c_infinity(p, c)
-            assert str(err.value) == "c-infinity requires extensive"
+            condition = "extensive" if not cls.extensive else "SMod-valued"
+            assert str(err.value) == "c-infinity requires " + condition
     assert 0 < gated < len(operator_cases)
+
+
+def test_gate_rejects_operator_leaving_smod(support2):
+    """An extensive operator whose value {z, a, b} is not thick fails the
+    gate; past it, c^inf(K(z)) = {z, a, b} would not be a point, and the
+    monoid oracle finds no neutral element."""
+    z, a, b, t = range(4)
+    c = OperatorSpec("table", support2,
+                     (frozenset({z, a, b}),) * 3 + (full(support2),))
+    cls = classify(support2, c)
+    assert cls.extensive and not cls.smod_valued and not cls.gate
+    assert ("smod_valued", (z,)) in cls.witnesses
+    with pytest.raises(OperatorError, match="^c-infinity requires SMod-valued$"):
+        c_infinity(support2, c)
+    with pytest.raises(MonoidError, match="does not pass the extensive/"
+                       "order-preserving/finite-type gate"):
+        monoid_report(c)
+    space = fixed_points(enumerate_smod(support2), c)
+    table = [[monoid_op_by_definition(c, N, N2) for N2 in space.points]
+             for N in space.points]
+    closed, associative, neutral, idempotent, witnesses = \
+        monoid_by_definition(c, space, table)
+    assert closed and associative and idempotent and not neutral
+    assert witnesses == (("neutral", (z, a, b)),)
 
 
 def test_family_round_trip_on_support2(support2):
@@ -277,13 +305,17 @@ def test_validate_family_of_all_support4_submodules():
 
 def test_classify_matches_definition(operator_cases):
     """Order preservation and finite type, which classify derives, agree
-    with the exhaustive loops, flags and witnesses alike."""
-    flags = set()
+    with the exhaustive loops, flags and witnesses alike, and so does
+    SMod-valuedness, decided from the defining conditions."""
+    flags, smod_valued = set(), set()
     for c in operator_cases:
         p = c.presentation
         cls = classify(p, c)
         assert (cls.extensive, cls.order_preserving, cls.idempotent,
-                cls.finite_type, cls.witnesses) == classify_by_definition(p, c)
+                cls.finite_type, cls.smod_valued,
+                cls.witnesses) == classify_by_definition(p, c)
         flags.add((cls.extensive, cls.idempotent))
+        smod_valued.add((cls.extensive, cls.smod_valued))
     assert len(operator_cases) > 130
-    assert flags == {(True, True), (True, False), (False, True), (False, False)}
+    every = {(True, True), (True, False), (False, True), (False, False)}
+    assert flags == every and smod_valued == every

@@ -11,8 +11,8 @@ from ttg.docio import load
 from ttg.presentation import chain_model, support_model, validate
 from ttg.space import SModSpace, make_space
 
-from oracles import (brute_thick_sets, spectral_by_definition,
-                     ultrafilter_by_definition)
+from oracles import (basis_by_definition, brute_thick_sets,
+                     spectral_by_definition, ultrafilter_by_definition)
 
 
 def test_enumerate_support2(support2):
@@ -164,10 +164,22 @@ def test_ultrafilter_matches_definition_on_hand_built_spaces(operator_cases):
     assert seen == {(k, v) for k in (1, 2, 3) for v in (True, False)}
 
 
-def test_basis_properties_models(support2, support3, chain3):
-    for p in (support2, support3, chain3):
-        rep = basis_properties(p, enumerate_smod(p))
+def _basis_rows(rep):
+    return (rep.zero_is_everything, rep.triangle_containment,
+            rep.sum_intersection, rep.action_monotone,
+            rep.translation_invariant, rep.witnesses)
+
+
+def test_basis_properties_models(support2, support3, chain3, graded2,
+                                 restrict2):
+    """The derived identities agree with the scans, on models with T != id
+    (graded2) and with a genuine module M != K (restrict2)."""
+    for p in (support2, support3, chain3, support_model(4), chain_model(6),
+              graded2, restrict2):
+        space = enumerate_smod(p)
+        rep = basis_properties(p, space)
         assert rep.passed, rep.witnesses
+        assert _basis_rows(rep) == basis_by_definition(p, space)
 
 
 def test_basis_sum_intersection_example(support2):
