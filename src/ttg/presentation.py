@@ -8,7 +8,8 @@ share.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 
 MAX_OBJECTS_DEFAULT = 16
@@ -98,7 +99,9 @@ class ModulePresentation:
     @cached_property
     def triangle_positions(self):
         """(t, t[k], t[k+1], t[k+2]) for each position k of each stored
-        triangle t, indices mod 3, triangles in sorted order."""
+        triangle t, indices mod 3, triangles in sorted order: the scan
+        order of ``thick.generate``'s certificates and ``thick.is_thick``'s
+        witnesses."""
         return tuple((t, t[k], t[(k + 1) % 3], t[(k + 2) % 3])
                      for t in sorted(self.triangles) for k in range(3))
 
@@ -109,30 +112,37 @@ class ModulePresentation:
         The least set holding m and zero and closed under the two rules of
         ``thick.generate``: every summand of a * y for y inside (the orbit
         of y), and the third entry of a stored triangle whose other two
-        entries are inside.  A worklist applies each rule once per new
-        member y, to its orbit and to the pairs (x, y) and (y, x) with x
-        already inside, so no certificate is kept.
+        entries are inside.  Sets of objects are int bitmasks.  ``orbit[y]``
+        is the mask of y's orbit, and ``pair[y][x]`` the mask of the third
+        entries of the stored triangles holding x and y in two positions,
+        in either order.  A worklist applies each rule once per new member
+        y, to its orbit and to ``pair[y][x]`` for every x already inside,
+        y included, so no certificate is kept.
         """
-        orbit = [frozenset(n for a in range(self.base.n_objects)
-                           for n, _ in self.decompositions[self.action[a][y]])
-                 for y in range(self.n_objects)]
-        thirds = {}  # (pred1, pred2) -> objects completing a stored triangle
-        for _, n, pred1, pred2 in self.triangle_positions:
-            thirds.setdefault((pred1, pred2), set()).add(n)
+        n = self.n_objects
+        summand = [sum(1 << s for s, _ in pairs) for pairs in self.decompositions]
+        orbit = [reduce(or_, map(summand.__getitem__, column))
+                 for column in zip(*self.action)]
+        pair = [[0] * n for _ in range(n)]
+        for a, b, c in self.triangles:
+            pair[b][c] |= 1 << a
+            pair[c][b] |= 1 << a
+            pair[c][a] |= 1 << b
+            pair[a][c] |= 1 << b
+            pair[a][b] |= 1 << c
+            pair[b][a] |= 1 << c
         table = []
-        for m in range(self.n_objects):
-            inside = set()
-            todo = [m, self.zero]
+        for m in range(n):
+            inside, members = 0, []
+            todo = 1 << m | 1 << self.zero
             while todo:
-                y = todo.pop()
-                if y in inside:
-                    continue
-                inside.add(y)
-                todo.extend(orbit[y])
-                for x in inside:
-                    todo.extend(thirds.get((x, y), ()))
-                    todo.extend(thirds.get((y, x), ()))
-            table.append(frozenset(inside))
+                low = todo & -todo
+                y = low.bit_length() - 1
+                inside |= low
+                members.append(y)
+                todo |= orbit[y] | reduce(or_, map(pair[y].__getitem__, members))
+                todo &= ~inside
+            table.append(frozenset(members))
         return tuple(table)
 
 

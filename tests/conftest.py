@@ -87,6 +87,32 @@ def restrict2():
 
 
 @pytest.fixture(scope="session")
+def downsets():
+    """K acting on itself, K the 12 down-sets of the poset a, b, c, d with
+    d above a as its one comparability: sum is union, tensor intersection,
+    identity translation and the triangles (x, x + y, y), closed under
+    rotation.  A distributive lattice that is not Boolean: {a} has no
+    complement."""
+    masks = sorted((m for m in range(16) if not m & 8 or m & 1),
+                   key=lambda m: (bin(m).count("1"), m))
+    index = {m: x for x, m in enumerate(masks)}
+    objs = range(len(masks))
+    sum_t = tuple(tuple(index[masks[x] | masks[y]] for y in objs) for x in objs)
+    cat = CategoryPresentation(
+        names=("z",) + tuple("".join(e for i, e in enumerate("abcd") if m >> i & 1)
+                             for m in masks[1:-1]) + ("t",),
+        zero=0,
+        unit=len(masks) - 1,
+        sum=sum_t,
+        tensor=tuple(tuple(index[masks[x] & masks[y]] for y in objs) for x in objs),
+        translate=tuple(objs),
+        triangles=rotation_closure(
+            {(x, sum_t[x][y], y) for x in objs for y in objs}, tuple(objs)),
+    )
+    return self_module(cat)
+
+
+@pytest.fixture(scope="session")
 def split_probe():
     """support_model(2) with its triangles cut to the rotations of the
     (x, x, 0) triangles, so the split triangles (x, x + y, y) are stored

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written directly from the defining conditions, without
-going through the library's checkers or fixpoint machinery.  Two
+going through the library's checkers or fixpoint machinery.  Three
 exceptions: ``monoid_op_by_definition`` joins with ``generate``, the
 certificate-recording fixpoint that the library's join does not use and
-that the tests check against ``minimal_thick_superset``; and
+that the tests check against ``minimal_thick_superset``;
 ``classify_by_definition`` ranges over ``all_submodules`` and the principal
-table, which the tests check against ``brute_thick_sets``.
+table, which the tests check against ``brute_thick_sets``; and
+``principals_by_worklist``, the principal table's earlier builder, reads
+the model's summand table and triangle positions.
 """
 
 from itertools import combinations
@@ -73,6 +75,33 @@ def minimal_thick_superset(p, X):
     """Intersection of every thick superset of X (the full set always is one)."""
     supersets = [s for s in brute_thick_sets(p) if X <= s]
     return frozenset.intersection(*supersets)
+
+
+def principals_by_worklist(p):
+    """The principal table by a frozenset worklist over the triangle
+    positions: per object m, from {m, 0}, each new member y adds its orbit
+    and the thirds of the pairs (x, y) and (y, x) with x already inside."""
+    orbit = [frozenset(n for a in range(p.base.n_objects)
+                       for n, _ in p.decompositions[p.action[a][y]])
+             for y in range(p.n_objects)]
+    thirds = {}  # (pred1, pred2) -> objects completing a stored triangle
+    for _, n, pred1, pred2 in p.triangle_positions:
+        thirds.setdefault((pred1, pred2), set()).add(n)
+    table = []
+    for m in range(p.n_objects):
+        inside = set()
+        todo = [m, p.zero]
+        while todo:
+            y = todo.pop()
+            if y in inside:
+                continue
+            inside.add(y)
+            todo.extend(orbit[y])
+            for x in inside:
+                todo.extend(thirds.get((x, y), ()))
+                todo.extend(thirds.get((y, x), ()))
+        table.append(frozenset(inside))
+    return tuple(table)
 
 
 def summands_by_scan(p, x):

@@ -22,6 +22,10 @@ def test_chain_model_validates(chain3):
     assert validate(chain3).ok
 
 
+def test_downset_lattice_validates(downsets):
+    assert validate(downsets).ok
+
+
 def test_validate_requires_split_triangles(split_probe, tmp_path):
     z, a, b, t = range(4)
     p = split_probe

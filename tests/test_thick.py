@@ -13,9 +13,10 @@ from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
 from ttg.presentation import UnknownObjectError, rotation_closure
 from ttg.thick import GenerationError, _checked
 
+from conftest import graded_support_model
 from oracles import (all_subsets, brute_thick_sets, least_cofactor,
-                     minimal_thick_superset, summands_by_scan,
-                     thick_check_by_scan)
+                     minimal_thick_superset, principals_by_worklist,
+                     summands_by_scan, thick_check_by_scan)
 
 
 def test_is_thick_examples(support2):
@@ -251,8 +252,9 @@ def test_finite_principality(support2, support3, chain3, graded2):
 
 
 def test_principal_table_matches_oracle(support2, support3, chain3, graded2,
-                                       restrict2):
-    for p in (support2, support3, chain3, chain_model(6), graded2, restrict2):
+                                       restrict2, downsets):
+    for p in (support2, support3, chain3, chain_model(6), graded2, restrict2,
+              downsets):
         thick = brute_thick_sets(p)
         for m in range(p.n_objects):
             # minimal_thick_superset(p, {m}), the thick sets found once
@@ -260,18 +262,47 @@ def test_principal_table_matches_oracle(support2, support3, chain3, graded2,
                 *[s for s in thick if m in s])
 
 
-def test_principal_table_matches_generate(split_probe):
-    # also on presentations that fail validate: the table and generate
-    # apply the same two rules, whether or not their fixpoint is thick.
-    # Every valid model here stores (y, x) -> n with (x, y) -> n; storing
-    # only the rotations of (b, a, z) gives (a, z) -> b but not (z, a) -> b.
+@pytest.fixture(scope="module")
+def one_way(split_probe):
+    """support_model(2) storing only the rotations of (b, a, z).  Every
+    valid model stores (y, x) -> n with (x, y) -> n; this one gives
+    (a, z) -> b but not (z, a) -> b."""
     z, a, b, t = range(4)
     cat = split_probe.base
-    one_way = self_module(replace(
+    return self_module(replace(
         cat, triangles=rotation_closure({(b, a, z)}, cat.translate)))
+
+
+def test_principal_table_matches_generate(split_probe, one_way):
+    # also on presentations that fail validate: the table and generate
+    # apply the same two rules, whether or not their fixpoint is thick.
     for p in (support_model(5), chain_model(10), split_probe, one_way):
         for m in range(p.n_objects):
             assert p.principals[m] == generate(p, {m})[0], (p.names, m)
+
+
+def test_principal_table_matches_worklist(restrict2, split_probe, one_way):
+    for p in (support_model(6, bound=6), support_model(7, bound=7),
+              graded_support_model(3), restrict2, split_probe, one_way):
+        assert p.principals == principals_by_worklist(p), p.names
+
+
+def test_principal_table_matches_worklist_off_validate(support3):
+    # seeded sets of a few triples of support3's objects, each closed under
+    # rotation by a seeded translation: as in one_way, a pair of objects
+    # may complete a triangle in one order only.  support3's own triangles
+    # would not do, since its principals are the down-sets, which the
+    # orbit rule alone reaches.
+    rng = random.Random(12)
+    objects = range(support3.n_objects)
+    for _ in range(200):
+        translate = tuple(rng.sample(objects, len(objects)))
+        triples = [tuple(rng.choice(objects) for _ in range(3))
+                   for _ in range(rng.randint(1, 4))]
+        kept = rotation_closure(triples, translate)
+        p = self_module(replace(support3.base, translate=translate,
+                                triangles=kept))
+        assert p.principals == principals_by_worklist(p), (translate, sorted(kept))
 
 
 def test_derived_tables_are_tuples(support3):
@@ -279,6 +310,7 @@ def test_derived_tables_are_tuples(support3):
     assert all(isinstance(row, tuple) for row in support3.decompositions)
     assert isinstance(support3.triangle_positions, tuple)
     assert isinstance(support3.principals, tuple)
+    assert all(isinstance(row, frozenset) for row in support3.principals)
 
 
 def test_model_is_freed_after_last_reference():
