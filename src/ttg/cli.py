@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import docio
-from .docio import DocumentError, ModelInvalidError, model_digest
+from .docio import (DocumentError, ModelInvalidError, model_digest, monoid_dot,
+                    specialization_dot)
 from .monoid import MonoidError, monoid_report
 from .operators import OperatorError, classify, identity_operator
 from .presentation import MAX_OBJECTS_DEFAULT, PresentationError
@@ -48,10 +49,18 @@ def _flags(obj, names):
 _CLASSIFY_FLAGS = ("extensive", "order_preserving", "idempotent", "finite_type")
 
 
-def _write_dot(args, text):
-    if getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8") as fh:
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DocumentError("cannot write %s: %s" % (path, exc))
+
+
+def _write_dot(args, render):
+    """Write ``render()`` to the ``--dot`` file; build no text without one."""
+    if args.dot:
+        _write(args.dot, render())
 
 
 def cmd_validate(args, p, operators):
@@ -87,7 +96,7 @@ def cmd_witness(args, p, operators):
 
 def cmd_smod(args, p, operators):
     space = enumerate_smod(p)
-    _write_dot(args, docio.specialization_dot(p, space))
+    _write_dot(args, lambda: specialization_dot(p, space))
     lines = ["SMod has %d points:" % len(space.points)]
     lines += ["  " + docio.point_label(p, pt) for pt in space.points]
     return ({"points": [_names(p, pt) for pt in space.points], "passed": True},
@@ -108,7 +117,7 @@ def cmd_spectral(args, p, operators):
     c = _operator(p, operators, args.operator)
     space = fixed_points(enumerate_smod(p), c)
     rep = spectral_report(space)
-    _write_dot(args, docio.specialization_dot(p, space))
+    _write_dot(args, lambda: specialization_dot(p, space))
     return ({"operator": args.operator, "points": len(space.points),
              "flags": _flags(rep, ("t0", "sober", "basis_quasi_compact",
                                    "basis_intersection_closed", "spectral")),
@@ -132,7 +141,7 @@ def cmd_ultrafilter(args, p, operators):
 
 def cmd_monoid(args, p, operators):
     rep = monoid_report(_operator(p, operators, args.operator))
-    _write_dot(args, docio.monoid_dot(p, rep))
+    _write_dot(args, lambda: monoid_dot(p, rep))
     return ({"operator": args.operator, "points": len(rep.space.points),
              "identity": rep.identity,
              "flags": _flags(rep, ("closed", "commutative", "associative",
@@ -217,8 +226,8 @@ HANDLERS = {
 
 
 def _run(args):
-    """Load the model once, run the subcommand on it, print its lines and
-    write its report.  Only ``validate`` reports an invalid model; every
+    """Load the model once, run the subcommand on it, write its report and
+    print its lines.  Only ``validate`` reports an invalid model; every
     other subcommand lets ``ModelInvalidError`` reach ``main``."""
     try:
         p, operators, doc = docio.load(args.model, max_objects=args.max_objects)
@@ -232,11 +241,10 @@ def _run(args):
         report, lines = HANDLERS[args.command](args, p, operators)
         report["digest"] = model_digest(doc)
     report["command"] = args.command
+    if args.out:
+        _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     for line in lines:
         print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 

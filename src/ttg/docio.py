@@ -186,6 +186,8 @@ def load(path, max_objects=MAX_OBJECTS_DEFAULT):
     except json.JSONDecodeError as exc:
         raise DocumentError("parse error in %s at line %d col %d: %s"
                             % (path, exc.lineno, exc.colno, exc.msg))
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise DocumentError("cannot parse %s: %s" % (path, exc))
     p, operators = load_document(doc, max_objects=max_objects)
     return p, operators, normalize_document(doc, p)
 
@@ -247,19 +249,16 @@ def point_label(p, members):
 
 
 def specialization_dot(p, space):
-    """Hasse diagram of the specialization order, edges up the order."""
-    n = len(space.points)
-    leq = {(i, j) for (i, j) in space.specialization}
+    """Hasse diagram of the specialization order, edges up the order.  On
+    a space of submodules that order is inclusion of points."""
+    points = space.points
     lines = ["digraph specialization {", "  rankdir=BT;"]
-    for i, pt in enumerate(space.points):
+    for i, pt in enumerate(points):
         lines.append('  n%d [label="%s"];' % (i, point_label(p, pt)))
-    for i, j in sorted(leq):
-        if i == j:
-            continue
-        covered = any((i, k) in leq and (k, j) in leq and k not in (i, j)
-                      for k in range(n))
-        if not covered:
-            lines.append("  n%d -> n%d;" % (i, j))
+    for i, N in enumerate(points):
+        for j, N2 in enumerate(points):
+            if N < N2 and not any(N < M < N2 for M in points):
+                lines.append("  n%d -> n%d;" % (i, j))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

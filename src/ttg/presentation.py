@@ -9,7 +9,7 @@ share.
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 
 
 MAX_OBJECTS_DEFAULT = 16
@@ -353,6 +353,27 @@ def _subset_names(n):
     return tuple(names)
 
 
+def _lattice_model(names, join, meet):
+    """K acting on itself, K the objects 0..len(names)-1 of a lattice with
+    zero first and unit last: sum = join, tensor = meet, identity
+    translation and the split triangles (x, x + y, y), closed under
+    rotation."""
+    objs = range(len(names))
+    sum_t = tuple(tuple(join(x, y) for y in objs) for x in objs)
+    translate = tuple(objs)
+    cat = CategoryPresentation(
+        names=names,
+        zero=0,
+        unit=len(names) - 1,
+        sum=sum_t,
+        tensor=tuple(tuple(meet(x, y) for y in objs) for x in objs),
+        translate=translate,
+        triangles=rotation_closure(
+            {(x, sum_t[x][y], y) for x in objs for y in objs}, translate),
+    )
+    return self_module(cat)
+
+
 def support_model(n, bound=MODEL_SIZE_BOUND):
     """Reference model: subsets of an n-atom set, sum = union, tensor =
     intersection, identity translation, K acting on itself."""
@@ -360,22 +381,7 @@ def support_model(n, bound=MODEL_SIZE_BOUND):
         raise ResourceError("support_model needs n >= 1")
     if n > bound:
         raise ResourceError("support_model(%d) exceeds bound %d" % (n, bound))
-    size = 1 << n
-    objs = range(size)
-    sum_t = tuple(tuple(x | y for y in objs) for x in objs)
-    tensor_t = tuple(tuple(x & y for y in objs) for x in objs)
-    translate = tuple(objs)
-    base = {(x, x | y, y) for x in objs for y in objs}
-    cat = CategoryPresentation(
-        names=_subset_names(n),
-        zero=0,
-        unit=size - 1,
-        sum=sum_t,
-        tensor=tensor_t,
-        translate=translate,
-        triangles=rotation_closure(base, translate),
-    )
-    return self_module(cat)
+    return _lattice_model(_subset_names(n), or_, and_)
 
 
 def chain_model(n, bound=2 * MODEL_SIZE_BOUND):
@@ -385,20 +391,4 @@ def chain_model(n, bound=2 * MODEL_SIZE_BOUND):
         raise ResourceError("chain_model needs n >= 1")
     if n > bound:
         raise ResourceError("chain_model(%d) exceeds bound %d" % (n, bound))
-    size = n + 1
-    objs = range(size)
-    names = tuple(["z"] + list("pqrstuvwxy"[:n]))
-    sum_t = tuple(tuple(max(x, y) for y in objs) for x in objs)
-    tensor_t = tuple(tuple(min(x, y) for y in objs) for x in objs)
-    translate = tuple(objs)
-    base = {(x, max(x, y), y) for x in objs for y in objs}
-    cat = CategoryPresentation(
-        names=names,
-        zero=0,
-        unit=n,
-        sum=sum_t,
-        tensor=tensor_t,
-        translate=translate,
-        triangles=rotation_closure(base, translate),
-    )
-    return self_module(cat)
+    return _lattice_model(tuple("z" + "pqrstuvwxy"[:n]), max, min)

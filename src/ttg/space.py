@@ -18,9 +18,8 @@ from .thick import _closure, all_submodules
 
 @dataclass(frozen=True)
 class SModSpace:
-    points: tuple            # ordered, deduplicated frozensets of object ids
-    basis: tuple             # object id m -> frozenset of point indices U(m)
-    specialization: frozenset  # pairs (i, j): points[i] in closure of points[j]
+    points: tuple   # ordered, deduplicated frozensets of object ids
+    basis: tuple    # object id m -> frozenset of point indices U(m)
 
 
 def _point_key(s):
@@ -31,9 +30,7 @@ def make_space(points, n_objects):
     points = tuple(sorted(set(points), key=_point_key))
     basis = tuple(frozenset(i for i, pt in enumerate(points) if m in pt)
                   for m in range(n_objects))
-    spec = frozenset((i, j) for i in range(len(points)) for j in range(len(points))
-                     if points[i] <= points[j])
-    return SModSpace(points, basis, spec)
+    return SModSpace(points, basis)
 
 
 def enumerate_smod(p):

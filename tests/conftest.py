@@ -124,6 +124,18 @@ def split_probe():
 
 
 @pytest.fixture(scope="session")
+def glued():
+    """support_model(2) with its triangles and the rotations of (a, z, b):
+    a valid model whose principals need the triangle rule.  The orbit rule
+    alone gives K(a) = {z, a}; the triangle (a, z, b) adds b, and the split
+    triangle (a, t, b) then adds t, so K(a) = K(b) = {z, a, b, t}."""
+    z, a, b, t = range(4)
+    cat = support_model(2).base
+    return self_module(replace(cat, triangles=cat.triangles | rotation_closure(
+        {(a, z, b)}, cat.translate)))
+
+
+@pytest.fixture(scope="session")
 def promote(chain3):
     return table_operator(chain3, {0: {0}, 1: {0, 1, 2},
                                    2: {0, 1, 2, 3}, 3: {0, 1, 2, 3}})

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttg.cli
+import ttg.docio
 import ttg.operators
 from ttg import support_model
 from ttg.cli import main
@@ -123,11 +124,20 @@ def test_cli_invalid_model_is_reported_only_by_validate(models_dir, tmp_path,
      "unknown target object 'a,b'"),
     (["witness", "--seed", "a", "--target", "b"],
      "target b is not generated by the seed"),
+    (["smod", "--out", "{missing}/smod.json"],
+     "cannot write {missing}/smod.json: [Errno 2] No such file or directory: "
+     "'{missing}/smod.json'"),
+    (["smod", "--dot", "{missing}/smod.dot"],
+     "cannot write {missing}/smod.dot: [Errno 2] No such file or directory: "
+     "'{missing}/smod.dot'"),
 ])
-def test_cli_argument_errors_exit_2(models_dir, capsys, argv, message):
+def test_cli_argument_errors_exit_2(models_dir, tmp_path, capsys, argv, message):
+    """``{missing}`` stands for a directory that does not exist."""
+    missing = str(tmp_path / "missing")
+    argv = [arg.replace("{missing}", missing) for arg in argv]
     assert main(argv + ["--model", model_path(models_dir, "support2")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: %s\n" % message
+    assert captured.err == "error: %s\n" % message.replace("{missing}", missing)
     assert captured.out == ""
 
 
@@ -239,18 +249,24 @@ def _malformed(case, doc):
     return doc
 
 
+# Files that are not a JSON document json.load can return.
+_UNREADABLE = {"not-utf8": b"\xff\xfe{}", "nested-past-recursion-limit": b"[" * 5000}
+
+
 @pytest.mark.parametrize("case", [
     "module-without-translate", "division-without-s", "operator-not-an-object",
     "short-translate", "top-level-number", "top-level-null",
     "two-entry-triangle", "module-is-a-list", "operators-is-a-list",
     "table-operator-with-list-table", "number-triangle", "number-sum-row",
     "list-zero", "number-division-s", "list-operator-kind",
-    "radical-with-number-table"])
+    "radical-with-number-table", "not-utf8", "nested-past-recursion-limit"])
 def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
-    with open(model_path(models_dir, "support2")) as fh:
-        doc = _malformed(case, json.load(fh))
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    if case in _UNREADABLE:
+        path.write_bytes(_UNREADABLE[case])
+    else:
+        with open(model_path(models_dir, "support2")) as fh:
+            path.write_text(json.dumps(_malformed(case, json.load(fh))))
     assert main(["validate", "--model", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -324,6 +340,31 @@ def test_cli_smod_dot_hasse(models_dir, tmp_path):
     text = dot.read_text()
     # Hasse diagram of the 4-point diamond: 4 cover edges
     assert text.count("->") == 4
+
+
+def test_cli_spectral_dot_bytes(models_dir, tmp_path):
+    dot = tmp_path / "spectral.dot"
+    assert main(["spectral", "--model", model_path(models_dir, "chain3"),
+                 "--operator", "promote", "--dot", str(dot)]) == 0
+    assert dot.read_text() == (
+        "digraph specialization {\n"
+        "  rankdir=BT;\n"
+        '  n0 [label="{z}"];\n'
+        '  n1 [label="{z,p,q,r}"];\n'
+        "  n0 -> n1;\n"
+        "}\n")
+
+
+@pytest.mark.parametrize("command", ["smod", "spectral", "monoid"])
+def test_cli_builds_no_dot_text_without_dot(models_dir, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("DOT text built without --dot")
+
+    for module in (ttg.cli, ttg.docio):
+        monkeypatch.setattr(module, "specialization_dot", refuse)
+        monkeypatch.setattr(module, "monoid_dot", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--model", model_path(models_dir, "chain3")]) == 0
 
 
 def test_cli_report_structured_output(models_dir, tmp_path):

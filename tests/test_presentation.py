@@ -8,9 +8,11 @@ from ttg import (chain_model, enumerate_smod, generate, is_thick, self_module,
 from ttg.cli import main
 from ttg.docio import load, normalize_document, save
 from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
-                              _validate_category, _validate_module)
+                              _validate_category, _validate_module,
+                              rotation_closure)
+from ttg.thick import _closure
 
-from oracles import brute_thick_sets
+from oracles import basis_by_definition, brute_thick_sets
 
 
 def test_support_model_validates(support2, support3):
@@ -47,6 +49,27 @@ def test_each_violation_listed_once(split_probe):
     violations = validate(split_probe).violations
     assert len(violations) == len(set(violations))
     assert len([v for v in violations if v.rule == "triangle-split"]) == 9
+
+
+def test_triangle_split_guards_the_derived_verdicts(split_probe):
+    """split_probe with the rotations of (a, z, b): the principal table
+    reaches b from a but, missing the split triangle (a, t, b), never t.
+    Each derivation that cites ``triangle-split`` then fails, so the rule
+    is what makes them hold."""
+    z, a, b, t = range(4)
+    cat = split_probe.base
+    p = self_module(replace(cat, triangles=cat.triangles | rotation_closure(
+        {(a, z, b)}, cat.translate)))
+    violations = validate(p).violations
+    assert len(violations) == 9
+    assert {v.rule for v in violations} == {"triangle-split"}
+    assert p.principals[a] == {z, a, b}
+    check = is_thick(p, p.principals[a])
+    assert (check.condition, check.witness) == ("sum", (a, b, t))
+    verdicts = basis_by_definition(p, enumerate_smod(p))
+    assert verdicts[2] is False and ("sum", (a, b)) in verdicts[5]
+    assert _closure(p, {a, b}) == {z, a, b, t}
+    assert generate(p, {a, b})[0] == {z, a, b}
 
 
 def _set_cell(table, i, j, value):

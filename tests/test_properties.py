@@ -77,8 +77,7 @@ def finite_spaces(draw):
     npts = draw(st.integers(1, 6))
     basis = draw(st.lists(st.frozensets(st.integers(0, npts - 1)),
                           min_size=1, max_size=6))
-    return SModSpace(tuple(frozenset({i}) for i in range(npts)), tuple(basis),
-                     frozenset())
+    return SModSpace(tuple(frozenset({i}) for i in range(npts)), tuple(basis))
 
 
 @given(finite_spaces())

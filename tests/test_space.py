@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from time import perf_counter
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from ttg import (all_submodules, basis_properties, classify, division,
                  enumerate_smod, fixed_points, from_family, identity_operator,
                  radical, spectral_report, ultrafilter_check)
-from ttg.docio import load
+from ttg.docio import load, specialization_dot
 from ttg.presentation import chain_model, support_model, validate
 from ttg.space import SModSpace, make_space
 
@@ -43,11 +44,19 @@ def test_point_membership_iff_basis(support2):
             assert (i in space.basis[m]) == (m in N)
 
 
-def test_specialization_is_inclusion(support2):
-    space = enumerate_smod(support2)
-    for i, N in enumerate(space.points):
-        for j, N2 in enumerate(space.points):
-            assert ((i, j) in space.specialization) == (N <= N2)
+def test_specialization_is_inclusion(support2, chain3, graded2):
+    """The DOT edges are the cover pairs of inclusion of points: the
+    strict inclusions that are not a composite of two strict inclusions."""
+    for p in (support2, chain3, graded2):
+        space = enumerate_smod(p)
+        pts = space.points
+        strict = {(i, j) for i, N in enumerate(pts) for j, N2 in enumerate(pts)
+                  if N < N2}
+        covers = strict - {(i, k) for i, j in strict for j2, k in strict if j == j2}
+        edges = {tuple(int(v) for v in re.findall(r"n(\d+)", line))
+                 for line in specialization_dot(p, space).splitlines()
+                 if "->" in line}
+        assert edges == covers, p.names
 
 
 def test_fixed_points_identity(support2):
@@ -84,8 +93,7 @@ def test_spectral_promote_space(chain3, promote):
 def test_spectral_degenerate_t0_violation():
     # synthetic two-point space with identical basis profiles
     space = SModSpace(points=(frozenset({0}), frozenset({1})),
-                      basis=(frozenset({0, 1}),),
-                      specialization=frozenset())
+                      basis=(frozenset({0, 1}),))
     rep = spectral_report(space)
     assert not rep.t0
     assert not rep.spectral
@@ -146,7 +154,7 @@ def _hand_built_space(p, rng):
     basis = tuple(frozenset(i for i, pt in enumerate(points)
                             if (m in pt) != ((m, i) in flips))
                   for m in range(p.n_objects))
-    return SModSpace(points, basis, frozenset())
+    return SModSpace(points, basis)
 
 
 def test_ultrafilter_matches_definition_on_hand_built_spaces(operator_cases):

@@ -9,7 +9,7 @@ import pytest
 from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
                  generate, identity_operator, is_thick, monoid_report,
                  principal, self_module, summands, support_model,
-                 witnesses)
+                 validate, witnesses)
 from ttg.presentation import UnknownObjectError, rotation_closure
 from ttg.thick import GenerationError, _checked
 
@@ -72,14 +72,14 @@ def _passes_scan_prefix(p, rng, count):
         yield frozenset(s)
 
 
-def test_is_thick_matches_scan(support2, support3, chain3, graded2):
+def test_is_thick_matches_scan(support2, support3, chain3, graded2, glued):
     def agree(p, s):
         check = is_thick(p, s)
         assert (check.ok, check.condition, check.witness) == \
             thick_check_by_scan(p, s), (p.names, sorted(s))
         return check.condition
 
-    for p in (support2, chain3, support3):
+    for p in (support2, chain3, support3, glued):
         for s in all_subsets(range(p.n_objects)):
             agree(p, s)
     rng = random.Random(8)
@@ -138,9 +138,9 @@ def test_generate_matches_brute_force(support2, chain3):
             assert members == minimal_thick_superset(p, X)
 
 
-def test_generate_output_is_thick(support2, support3, chain3, graded2):
+def test_generate_output_is_thick(support2, support3, chain3, graded2, glued):
     # sound only because validate requires the split triangles (x, x+y, y)
-    for p in (support2, support3, chain3, graded2, chain_model(6)):
+    for p in (support2, support3, chain3, graded2, chain_model(6), glued):
         for size in range(3):
             for seed in combinations(range(p.n_objects), size):
                 members, _ = generate(p, seed)
@@ -252,14 +252,23 @@ def test_finite_principality(support2, support3, chain3, graded2):
 
 
 def test_principal_table_matches_oracle(support2, support3, chain3, graded2,
-                                       restrict2, downsets):
+                                       restrict2, downsets, glued):
     for p in (support2, support3, chain3, chain_model(6), graded2, restrict2,
-              downsets):
+              downsets, glued):
         thick = brute_thick_sets(p)
         for m in range(p.n_objects):
             # minimal_thick_superset(p, {m}), the thick sets found once
             assert p.principals[m] == frozenset.intersection(
                 *[s for s in thick if m in s])
+
+
+def test_glued_principals_need_the_triangle_rule(glued):
+    z, a, b, t = range(4)
+    assert validate(glued).ok
+    # the orbit rule alone, on the same objects without (a, z, b)
+    assert support_model(2).principals[a] == {z, a}
+    assert glued.principals[a] == glued.principals[b] == {z, a, b, t}
+    assert brute_thick_sets(glued) == [{z}, {z, a, b, t}]
 
 
 @pytest.fixture(scope="module")
@@ -273,17 +282,18 @@ def one_way(split_probe):
         cat, triangles=rotation_closure({(b, a, z)}, cat.translate)))
 
 
-def test_principal_table_matches_generate(split_probe, one_way):
+def test_principal_table_matches_generate(split_probe, one_way, glued):
     # also on presentations that fail validate: the table and generate
     # apply the same two rules, whether or not their fixpoint is thick.
-    for p in (support_model(5), chain_model(10), split_probe, one_way):
+    for p in (support_model(5), chain_model(10), split_probe, one_way, glued):
         for m in range(p.n_objects):
             assert p.principals[m] == generate(p, {m})[0], (p.names, m)
 
 
-def test_principal_table_matches_worklist(restrict2, split_probe, one_way):
+def test_principal_table_matches_worklist(restrict2, split_probe, one_way,
+                                         glued):
     for p in (support_model(6, bound=6), support_model(7, bound=7),
-              graded_support_model(3), restrict2, split_probe, one_way):
+              graded_support_model(3), restrict2, split_probe, one_way, glued):
         assert p.principals == principals_by_worklist(p), p.names
 
 
