@@ -248,13 +248,19 @@ def point_label(p, members):
     return "{%s}" % ",".join(p.names[m] for m in sorted(members))
 
 
+def _dot_label(p, members):
+    """``point_label`` escaped for a quoted DOT string: object names may
+    hold ``\\`` and ``"``."""
+    return point_label(p, members).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def specialization_dot(p, space):
     """Hasse diagram of the specialization order, edges up the order.  On
     a space of submodules that order is inclusion of points."""
     points = space.points
     lines = ["digraph specialization {", "  rankdir=BT;"]
     for i, pt in enumerate(points):
-        lines.append('  n%d [label="%s"];' % (i, point_label(p, pt)))
+        lines.append('  n%d [label="%s"];' % (i, _dot_label(p, pt)))
     for i, N in enumerate(points):
         for j, N2 in enumerate(points):
             if N < N2 and not any(N < M < N2 for M in points):
@@ -268,7 +274,7 @@ def monoid_dot(p, report):
     space = report.space
     lines = ["digraph monoid_op {"]
     for i, pt in enumerate(space.points):
-        lines.append('  n%d [label="%s"];' % (i, point_label(p, pt)))
+        lines.append('  n%d [label="%s"];' % (i, _dot_label(p, pt)))
     for i, row in enumerate(report.op_table):
         for j, k in enumerate(row):
             if j < i:

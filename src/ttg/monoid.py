@@ -13,7 +13,7 @@ preimage of each basic open under join-with-N with the open cover indexed
 by the objects whose principal join reaches it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .operators import OperatorError
@@ -68,9 +68,11 @@ def nc_set(c, N, m):
     return frozenset(m2 for m2, J in enumerate(_principal_joins(c, N)) if m in J)
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    entries: tuple  # (object id, ok, preimage indices, cover indices)
+class ContinuityReport(namedtuple("ContinuityReport", "entries")):
+    """``entries``: (object id, ok, preimage indices, cover indices), one
+    per object."""
+
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -95,18 +97,13 @@ def continuity_check(c, N):
     return ContinuityReport(tuple(entries))
 
 
-@dataclass(frozen=True)
-class MonoidReport:
-    space: object
-    op_table: tuple       # point index x point index -> point index
-    identity: int
-    closed: bool
-    commutative: bool
-    associative: bool
-    neutral: bool
-    idempotent: bool
-    continuous: bool
-    witnesses: tuple
+class MonoidReport(namedtuple(
+        "MonoidReport",
+        "space op_table identity closed commutative associative neutral "
+        "idempotent continuous witnesses")):
+    """``op_table[i][j]`` is the index of the join of points i and j."""
+
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -6,7 +6,7 @@ Shipped constructions: identity, radical, division by a multiplicative set,
 family-induced closure, user tables, and the iterated completion.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -25,18 +25,20 @@ class FamilyError(OperatorError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(namedtuple("OperatorSpec",
+                              "kind presentation principal_table repair",
+                              defaults=(False,))):
     """A total operator on thick submodules, given by its principal table.
 
+    ``principal_table`` maps each object id to a frozenset of member ids.
     ``apply`` takes and returns member frozensets.  For table-defined
     operators the raw union of principals may fail thickness; those carry
-    repair=True and return its thick closure.
+    repair=True and return its thick closure.  ``completion`` is kept in
+    the instance ``__dict__``.
     """
-    kind: str
-    presentation: object
-    principal_table: tuple  # object id -> frozenset of member ids
-    repair: bool = False
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OperatorSpec is read-only")
 
     def apply(self, N):
         p = self.presentation
@@ -50,14 +52,15 @@ class OperatorSpec:
         return c_infinity(self.presentation, self)
 
 
-@dataclass(frozen=True)
-class OperatorClassification:
-    extensive: bool
-    order_preserving: bool
-    idempotent: bool
-    finite_type: bool
-    smod_valued: bool     # c(N) is a thick submodule for every point N
-    witnesses: tuple = ()  # (flag name, witness) pairs for false flags
+class OperatorClassification(namedtuple(
+        "OperatorClassification",
+        "extensive order_preserving idempotent finite_type smod_valued witnesses",
+        defaults=((),))):
+    """The flags ``classify`` decides.  ``smod_valued``: c(N) is a thick
+    submodule for every point N.  ``witnesses``: (flag name, witness)
+    pairs for the false flags."""
+
+    __slots__ = ()
 
     @property
     def gate(self):
@@ -74,11 +77,12 @@ class OperatorClassification:
         return self.extensive and self.order_preserving and self.idempotent
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "members")):
     """A collection of thick submodules required to contain the full module
-    and to be closed under intersections and directed unions."""
-    members: frozenset  # frozenset of frozensets of object ids
+    and to be closed under intersections and directed unions.  ``members``
+    is a frozenset of frozensets of object ids."""
+
+    __slots__ = ()
 
 
 def identity_operator(p):

@@ -7,7 +7,7 @@ ordered triples.  Presentations are frozen after construction and safe to
 share.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, reduce
 from operator import and_, or_
 
@@ -33,40 +33,37 @@ class UnknownObjectError(PresentationError):
     pass
 
 
-@dataclass(frozen=True)
-class CategoryPresentation:
-    """A finite skeletal tensor triangulated category (K, tensor, unit)."""
+class CategoryPresentation(namedtuple(
+        "CategoryPresentation",
+        "names zero unit sum tensor translate triangles")):
+    """A finite skeletal tensor triangulated category (K, tensor, unit).
 
-    names: tuple
-    zero: int
-    unit: int
-    sum: tuple       # sum[x][y] -> object id
-    tensor: tuple    # tensor[x][y] -> object id
-    translate: tuple
-    triangles: frozenset  # ordered triples (m', m, m''), rotation-closed
+    ``sum[x][y]`` and ``tensor[x][y]`` are object ids, and ``triangles``
+    is the rotation-closed set of ordered triples (m', m, m'').
+    """
+
+    __slots__ = ()
 
     @property
     def n_objects(self):
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(namedtuple(
+        "ModulePresentation",
+        "base names zero sum translate triangles action")):
     """A finite module category over a CategoryPresentation with action table.
 
     ``action[a][m]`` is the object a * m for a in the base category and m in
     the module.  When K acts on itself the module tables mirror the base and
     the action table equals the tensor table.  Derived tables are computed on
-    first use and kept, as shared tuples, outside the hashed fields.
+    first use and kept, as shared tuples, in the instance ``__dict__``,
+    outside the hashed fields; ``_replace`` starts a new instance without
+    them.
     """
 
-    base: CategoryPresentation
-    names: tuple
-    zero: int
-    sum: tuple
-    translate: tuple
-    triangles: frozenset
-    action: tuple    # action[a][m], a indexes base objects, m module objects
+    def __setattr__(self, name, value):
+        raise AttributeError("ModulePresentation is read-only")
 
     @property
     def n_objects(self):
@@ -146,19 +143,16 @@ class ModulePresentation:
         return tuple(table)
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    message: str
-    witness: tuple
+Violation = namedtuple("Violation", "rule message witness")
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
     # The octahedral axiom cannot be decided from object-level tables and is
     # deliberately not checked.
-    unchecked: tuple = ("octahedral axiom (not decidable from object tables)",)
+    unchecked = ("octahedral axiom (not decidable from object tables)",)
+
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self):

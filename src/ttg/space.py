@@ -10,16 +10,15 @@ SMod itself are derived from the rules the principal table is built by and
 from ``validate``'s rules (see ``basis_properties``).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .thick import _closure, all_submodules
 
 
-@dataclass(frozen=True)
-class SModSpace:
-    points: tuple   # ordered, deduplicated frozensets of object ids
-    basis: tuple    # object id m -> frozenset of point indices U(m)
+# points: ordered, deduplicated frozensets of object ids; basis: object id
+# m -> frozenset of the indices of the points in U(m).
+SModSpace = namedtuple("SModSpace", "points basis")
 
 
 def _point_key(s):
@@ -44,15 +43,10 @@ def fixed_points(space, c):
                       len(space.basis))
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    t0: bool
-    sober: bool
-    basis_quasi_compact: bool
-    basis_intersection_closed: bool
-    spectral: bool
-    witnesses: tuple
-    notes: tuple
+SpectralReport = namedtuple(
+    "SpectralReport",
+    "t0 sober basis_quasi_compact basis_intersection_closed spectral "
+    "witnesses notes")
 
 
 def spectral_report(space):
@@ -105,23 +99,18 @@ def spectral_report(space):
                           tuple(witnesses), notes)
 
 
-@dataclass(frozen=True)
-class UltrafilterPointResult:
-    point: int
-    thick: bool
-    fixed: bool
-    equals_point: bool
-    biconditional: bool
+class UltrafilterPointResult(namedtuple(
+        "UltrafilterPointResult",
+        "point thick fixed equals_point biconditional")):
+    __slots__ = ()
 
     @property
     def ok(self):
         return self.thick and self.fixed and self.equals_point and self.biconditional
 
 
-@dataclass(frozen=True)
-class UltrafilterReport:
-    results: tuple
-    note: str
+class UltrafilterReport(namedtuple("UltrafilterReport", "results note")):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -152,14 +141,11 @@ def ultrafilter_check(space, c):
     return UltrafilterReport(tuple(results), note)
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    zero_is_everything: bool
-    triangle_containment: bool
-    sum_intersection: bool
-    action_monotone: bool
-    translation_invariant: bool
-    witnesses: tuple
+class BasisReport(namedtuple(
+        "BasisReport",
+        "zero_is_everything triangle_containment sum_intersection "
+        "action_monotone translation_invariant witnesses")):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -6,25 +6,22 @@ step (bar) and a triangle-completion step (delta) and records a provenance
 certificate from which finite witness sets are extracted.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class GenerationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ThickCheck:
-    ok: bool
-    condition: str = ""
-    witness: tuple = ()
+class ThickCheck(namedtuple("ThickCheck", "ok condition witness",
+                            defaults=("", ()))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(namedtuple("Provenance", "kind stage order data")):
     """How an object entered the generated submodule.
 
     kind "seed": stage-0 member.
@@ -36,16 +33,11 @@ class Provenance:
     provenance edges (bar and delta discoveries inside one iteration tie on
     stage, so strictness lives on order).
     """
-    kind: str
-    stage: int
-    order: int
-    data: tuple
+    __slots__ = ()
 
 
-@dataclass
-class GenerationCertificate:
-    seed: frozenset
-    records: dict  # object id -> Provenance
+# records maps each object id to its Provenance.
+GenerationCertificate = namedtuple("GenerationCertificate", "seed records")
 
 
 def _checked(p, X):

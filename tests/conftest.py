@@ -1,7 +1,6 @@
 import os
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -120,7 +119,7 @@ def split_probe():
     cat = support_model(2).base
     kept = rotation_closure({(x, x, cat.zero) for x in range(cat.n_objects)},
                             cat.translate)
-    return self_module(replace(cat, triangles=kept))
+    return self_module(cat._replace(triangles=kept))
 
 
 @pytest.fixture(scope="session")
@@ -131,7 +130,7 @@ def glued():
     triangle (a, t, b) then adds t, so K(a) = K(b) = {z, a, b, t}."""
     z, a, b, t = range(4)
     cat = support_model(2).base
-    return self_module(replace(cat, triangles=cat.triangles | rotation_closure(
+    return self_module(cat._replace(triangles=cat.triangles | rotation_closure(
         {(a, z, b)}, cat.translate)))
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import ttg.cli
 import ttg.docio
 import ttg.operators
-from ttg import support_model
+from ttg import self_module, support_model
 from ttg.cli import main
 from ttg.operators import classify
 from ttg.docio import (DocumentError, ModelInvalidError, dump_document, load,
@@ -353,6 +353,22 @@ def test_cli_spectral_dot_bytes(models_dir, tmp_path):
         '  n1 [label="{z,p,q,r}"];\n'
         "  n0 -> n1;\n"
         "}\n")
+
+
+def test_cli_dot_labels_escape_quote_and_backslash(tmp_path, capsys):
+    names = ("z", 'a"x', "b\\", "t")
+    p = self_module(support_model(2).base._replace(names=names))
+    model = tmp_path / "odd.json"
+    save(normalize_document({"category": {}}, p), str(model))
+    texts = []
+    for command in ("smod", "monoid"):
+        dot = tmp_path / (command + ".dot")
+        assert main([command, "--model", str(model), "--dot", str(dot)]) == 0
+        texts.append(dot.read_text())
+    assert '  {z,a"x}\n' in capsys.readouterr().out
+    for text in texts:
+        assert '  n1 [label="{z,a\\"x}"];\n' in text
+        assert '  n2 [label="{z,b\\\\}"];\n' in text
 
 
 @pytest.mark.parametrize("command", ["smod", "spectral", "monoid"])

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ttg")
@@ -21,3 +22,19 @@ def test_library_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
+
+
+def _modules_after(code):
+    """The modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    script = code + "\nimport sys\nprint('\\n'.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Measured against a bare start-up, since site hooks may preload modules.
+    added = _modules_after("import ttg.cli") - _modules_after("pass")
+    assert "ttg.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

@@ -1,10 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 
-from ttg import (chain_model, enumerate_smod, generate, is_thick, self_module,
-                 summands, support_model, validate)
+from ttg import (chain_model, enumerate_smod, generate, identity_operator,
+                 is_thick, monoid_report, self_module, summands, support_model,
+                 validate)
 from ttg.cli import main
 from ttg.docio import load, normalize_document, save
 from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
@@ -12,7 +12,8 @@ from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
                               rotation_closure)
 from ttg.thick import _closure
 
-from oracles import basis_by_definition, brute_thick_sets
+from oracles import (basis_by_definition, brute_thick_sets,
+                     principals_by_worklist)
 
 
 def test_support_model_validates(support2, support3):
@@ -58,7 +59,7 @@ def test_triangle_split_guards_the_derived_verdicts(split_probe):
     is what makes them hold."""
     z, a, b, t = range(4)
     cat = split_probe.base
-    p = self_module(replace(cat, triangles=cat.triangles | rotation_closure(
+    p = self_module(cat._replace(triangles=cat.triangles | rotation_closure(
         {(a, z, b)}, cat.translate)))
     violations = validate(p).violations
     assert len(violations) == 9
@@ -86,19 +87,19 @@ def _one_cell_mutation(rng, cat):
     if kind in ("sum", "tensor"):
         table = getattr(cat, kind)
         cell = _set_cell(table, rng.randrange(n), rng.randrange(n), rng.randrange(n))
-        return replace(cat, **{kind: cell})
+        return cat._replace(**{kind: cell})
     if kind == "translate":
         translate = list(cat.translate)
         i, j = rng.randrange(n), rng.randrange(n)
         translate[i], translate[j] = translate[j], translate[i]
-        return replace(cat, translate=tuple(translate))
+        return cat._replace(translate=tuple(translate))
     if kind in ("zero", "unit"):
-        return replace(cat, **{kind: rng.randrange(n)})
+        return cat._replace(**{kind: rng.randrange(n)})
     if kind == "drop":
         dropped = rng.choice(sorted(cat.triangles))
-        return replace(cat, triangles=cat.triangles - {dropped})
-    return replace(cat, triangles=cat.triangles
-                   | {tuple(rng.randrange(n) for _ in range(3))})
+        return cat._replace(triangles=cat.triangles - {dropped})
+    return cat._replace(triangles=cat.triangles
+                        | {tuple(rng.randrange(n) for _ in range(3))})
 
 
 # The category rules each module rule restates when K acts on itself.
@@ -150,10 +151,10 @@ def test_genuine_module_validates_and_round_trips(restrict2, tmp_path):
 
 def test_genuine_module_edits_reported(restrict2):
     action = _set_cell(restrict2.action, restrict2.base.unit, 1, 0)  # 1 * m1 = z
-    rules = {v.rule for v in validate(replace(restrict2, action=action)).violations}
+    rules = {v.rule for v in validate(restrict2._replace(action=action)).violations}
     assert any(rule.startswith("action-") for rule in rules)
     bad_sum = _set_cell(restrict2.sum, 1, 0, 0)  # m1 + z = z
-    rules = {v.rule for v in validate(replace(restrict2, sum=bad_sum)).violations}
+    rules = {v.rule for v in validate(restrict2._replace(sum=bad_sum)).violations}
     assert any(rule.startswith("module-sum-") for rule in rules)
 
 
@@ -188,8 +189,8 @@ def test_size_bound():
 def test_broken_sum_unit_reported(support2):
     bad_sum = [list(row) for row in support2.sum]
     bad_sum[1][0] = 2  # a + z should be a
-    cat = replace(support2.base, sum=tuple(tuple(r) for r in bad_sum))
-    bad = replace(self_module(cat))
+    cat = support2.base._replace(sum=tuple(tuple(r) for r in bad_sum))
+    bad = self_module(cat)
     report = validate(bad)
     assert not report.ok
     rules = {v.rule for v in report.violations}
@@ -200,7 +201,7 @@ def test_broken_sum_unit_reported(support2):
 
 def test_missing_rotation_reported(support2):
     dropped = next(iter(support2.triangles))
-    cat = replace(support2.base, triangles=support2.triangles - {dropped})
+    cat = support2.base._replace(triangles=support2.triangles - {dropped})
     bad = self_module(cat)
     report = validate(bad)
     assert not report.ok
@@ -208,7 +209,7 @@ def test_missing_rotation_reported(support2):
 
 
 def test_malformed_table_is_structural(support2):
-    cat = replace(support2.base, sum=support2.sum[:-1])
+    cat = support2.base._replace(sum=support2.sum[:-1])
     with pytest.raises(StructuralError):
         validate(self_module(cat))
 
@@ -241,3 +242,24 @@ def test_triangles_rotation_closed(support2, chain3):
     for p in (support2, chain3):
         for (x, y, z) in p.triangles:
             assert (y, z, p.translate[x]) in p.triangles
+
+
+def test_fields_are_read_only(support2):
+    c = identity_operator(support2)
+    records = [(support2, "names"), (support2, "principals"),
+               (support2.base, "sum"), (c, "repair"), (c, "completion"),
+               (enumerate_smod(support2), "points"),
+               (monoid_report(c), "identity")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_replace_starts_without_cached_tables():
+    z, a, b, t = range(4)
+    p = support_model(2)
+    p.principals
+    q = p._replace(triangles=p.triangles | rotation_closure({(a, z, b)},
+                                                            p.translate))
+    assert "principals" in vars(p) and vars(q) == {}
+    assert q.principals == principals_by_worklist(q) != p.principals

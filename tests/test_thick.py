@@ -1,7 +1,6 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -278,8 +277,8 @@ def one_way(split_probe):
     (a, z) -> b but not (z, a) -> b."""
     z, a, b, t = range(4)
     cat = split_probe.base
-    return self_module(replace(
-        cat, triangles=rotation_closure({(b, a, z)}, cat.translate)))
+    return self_module(cat._replace(
+        triangles=rotation_closure({(b, a, z)}, cat.translate)))
 
 
 def test_principal_table_matches_generate(split_probe, one_way, glued):
@@ -310,8 +309,8 @@ def test_principal_table_matches_worklist_off_validate(support3):
         triples = [tuple(rng.choice(objects) for _ in range(3))
                    for _ in range(rng.randint(1, 4))]
         kept = rotation_closure(triples, translate)
-        p = self_module(replace(support3.base, translate=translate,
-                                triangles=kept))
+        p = self_module(support3.base._replace(translate=translate,
+                                            triangles=kept))
         assert p.principals == principals_by_worklist(p), (translate, sorted(kept))
 
 
@@ -323,12 +322,19 @@ def test_derived_tables_are_tuples(support3):
     assert all(isinstance(row, frozenset) for row in support3.principals)
 
 
+class _Probe:
+    """Held only in its owner's ``__dict__``, so it is freed exactly when
+    its owner is: a presentation or operator is a tuple subclass, which
+    takes no weak reference itself."""
+
+
 def test_model_is_freed_after_last_reference():
     p = support_model(3)
     c = identity_operator(p)
     monoid_report(c)
     enumerate_smod(p)
-    refs = [weakref.ref(p), weakref.ref(c)]
+    vars(p)["_probe"], vars(c)["_probe"] = _Probe(), _Probe()
+    refs = [weakref.ref(vars(p)["_probe"]), weakref.ref(vars(c)["_probe"])]
     del p, c
     gc.collect()
     assert [r() for r in refs] == [None, None]
