@@ -76,11 +76,20 @@ def _section(sec, where, keys, max_objects):
     resolve = _resolver(names, where)
     translate = tuple(resolve(v) for v in
                       _list(sec["translate"], where + " translate", len(names)))
-    triangles = set()
-    for t in _list(sec["triangles"], where + " triangles"):
-        if not isinstance(t, list) or len(t) != 3:
-            raise DocumentError("%s triangle %r must have 3 entries" % (where, t))
-        triangles.add(tuple(resolve(v) for v in t))
+    raw = _list(sec["triangles"], where + " triangles")
+    triangles = None
+    if {*map(type, raw)} <= {list}:
+        index = {name: i for i, name in enumerate(names)}
+        try:
+            triangles = {(index[a], index[b], index[c]) for a, b, c in raw}
+        except (KeyError, TypeError, ValueError):
+            pass  # an ill-shaped triangle: the loop below names the first one
+    if triangles is None:
+        triangles = set()
+        for t in raw:
+            if not isinstance(t, list) or len(t) != 3:
+                raise DocumentError("%s triangle %r must have 3 entries" % (where, t))
+            triangles.add(tuple(resolve(v) for v in t))
     return names, resolve, translate, rotation_closure(triangles, translate)
 
 
@@ -194,13 +203,18 @@ def load(path, max_objects=MAX_OBJECTS_DEFAULT):
 
 def _section_doc(sec, **tables):
     """A category or module section by name: its objects, zero, translation,
-    sorted triangles, the sum table and the extra ``tables`` given."""
+    triangles sorted by name, the sum table and the extra ``tables`` given.
+    Names are distinct, so triangles sort by name as their id triples sort
+    by the rank of each name."""
     def named(ids):
         return [sec.names[v] for v in ids]
 
+    by_rank = sorted(sec.names)
+    rank = list(map({name: r for r, name in enumerate(by_rank)}.__getitem__, sec.names))
     out = {"objects": list(sec.names), "zero": sec.names[sec.zero],
            "translate": named(sec.translate),
-           "triangles": sorted(named(t) for t in sec.triangles)}
+           "triangles": [[by_rank[a], by_rank[b], by_rank[c]] for a, b, c in
+                         sorted((rank[a], rank[b], rank[c]) for a, b, c in sec.triangles)]}
     for key, table in dict(tables, sum=sec.sum).items():
         out[key] = [named(row) for row in table]
     return out

@@ -9,7 +9,8 @@ share.
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from operator import and_, or_
+from itertools import chain, compress
+from operator import and_, itemgetter, ne, or_
 
 
 MAX_OBJECTS_DEFAULT = 16
@@ -192,6 +193,68 @@ def _check_table(bound, table, rows, cols, what):
                 raise StructuralError("%s[%d][%d] = %r is out of range" % (what, i, j, v))
 
 
+def _generators(sum_table):
+    """A set G whose closure under the sum table is every object: each
+    indecomposable id (x is not a + b for any a, b != x), then, while the
+    closure misses an object, the least id it misses.  The closure adds
+    g + h and h + g once for each pair of reached ids, so this is O(n^2)."""
+    n = len(sum_table)
+    decomposable = set()
+    for x, row in enumerate(sum_table):
+        values = set(compress(row, map(ne, row, range(n))))  # row[y] != y
+        values.discard(x)
+        decomposable |= values
+    gens = [x for x in range(n) if x not in decomposable]
+    columns = list(zip(*sum_table))
+    reached, members, todo = set(gens), [], list(gens)
+    while True:
+        while todo:
+            y = todo.pop()
+            members.append(y)
+            new = {*map(sum_table[y].__getitem__, members),
+                   *map(columns[y].__getitem__, members)} - reached
+            reached |= new
+            todo += new
+        if len(reached) == n:
+            return gens
+        x = next(x for x in range(n) if x not in reached)
+        gens.append(x)
+        reached.add(x)
+        todo.append(x)
+
+
+# The checks over a generating set G compare whole rows at C speed.
+# ``validate``'s docstring says when a pass covers every element.
+
+def _associates(table, gens):
+    """(xy)g == x(yg) for every x, y and every g in ``gens``.  With ``row``
+    the row of x and ``col`` the column of g, the left side is ``col``
+    read at ``row``'s entries, the right ``row`` read at ``col``'s."""
+    columns = list(zip(*table))
+    return all(itemgetter(*row)(col) == itemgetter(*col)(row)
+               for col in map(columns.__getitem__, gens) for row in table)
+
+
+def _additive(rows, sum_in, sum_out, gens):
+    """f(x + g) == f(x) + f(g) for every row f of ``rows``, every x and every
+    g in ``gens``, with + the table ``sum_in`` inside f and ``sum_out``
+    outside."""
+    columns_in, columns_out = list(zip(*sum_in)), list(zip(*sum_out))
+    return all(itemgetter(*columns_in[g])(f) == itemgetter(*f)(columns_out[f[g]])
+               for g in gens for f in rows)
+
+
+def _acts(p, base_gens, gens):
+    """a(m + g) == am + ag for every g in ``gens``, the generators of M's
+    sum, then (a + b)m == am + bm and (ab)m == a(bm) for every b in
+    ``base_gens``, K's."""
+    act, k = p.action, p.base
+    return (_additive(act, p.sum, p.sum, gens)
+            and _additive(list(zip(*act)), k.sum, p.sum, base_gens)
+            and all(list(act[k.tensor[a][b]]) == list(map(row.__getitem__, act[b]))
+                    for b in base_gens for a, row in enumerate(act)))
+
+
 def _validate_section(sec, report, what):
     """The checks a category and a module section share: the shape of the
     sum table, triangles and zero, the translation bijection, the sum axioms,
@@ -200,27 +263,36 @@ def _validate_section(sec, report, what):
     no rule of its own: it is the split triangle with y = 0 wherever
     x + 0 = x, and ``sum-unit`` reports every other x.  ``what`` is
     "category" or "module"; module rules carry the prefix "module-",
-    triangle rules none."""
+    triangle rules none.  Returns the generators of the sum when it is
+    associative, else None."""
     n = sec.n_objects
     _check_table(n, sec.sum, n, n, what + " sum")
     # A bijection is invertible: this is the whole translate-inverse axiom.
     if len(sec.translate) != n or sorted(sec.translate) != list(range(n)):
         raise StructuralError("%s translate is not a bijection" % what)
-    for t in sec.triangles:
-        if len(t) != 3 or any(not isinstance(v, int) or not 0 <= v < n for v in t):
-            raise StructuralError("malformed %s triangle %r" % (what, t))
+    entries = chain.from_iterable
+    if not ({*map(len, sec.triangles)} <= {3}
+            and {*map(type, entries(sec.triangles))} <= {int}
+            and 0 <= min(entries(sec.triangles), default=0)
+            and max(entries(sec.triangles), default=0) < n):
+        for t in sec.triangles:  # name the first malformed triangle
+            if len(t) != 3 or any(not isinstance(v, int) or not 0 <= v < n for v in t):
+                raise StructuralError("malformed %s triangle %r" % (what, t))
     if not 0 <= sec.zero < n:
         raise StructuralError("%s zero id out of range" % what)
 
     rule = "" if what == "category" else what + "-"
     add, rng, s = report.add, range(n), sec.sum
+    gens = _generators(s)
+    scan = not _associates(s, gens)
     for x in rng:
         for y in rng:
             if s[x][y] != s[y][x]:
                 add(rule + "sum-commutative", "x+y != y+x", x, y)
-            for z in rng:
-                if s[s[x][y]][z] != s[x][s[y][z]]:
-                    add(rule + "sum-associative", "(x+y)+z != x+(y+z)", x, y, z)
+            if scan:
+                for z in rng:
+                    if s[s[x][y]][z] != s[x][s[y][z]]:
+                        add(rule + "sum-associative", "(x+y)+z != x+(y+z)", x, y, z)
         if s[x][sec.zero] != x:
             add(rule + "sum-unit", "x + 0 != x", x)
     for t in sec.triangles:
@@ -231,33 +303,43 @@ def _validate_section(sec, report, what):
         for y in rng:
             if (x, s[x][y], y) not in sec.triangles:
                 add("triangle-split", "(x, x+y, y) triangle missing", x, s[x][y], y)
+    return None if scan else gens
 
 
 def _validate_category(cat, report):
-    _validate_section(cat, report, "category")
+    """The category section and the tensor axioms.  Returns the generators
+    of the sum when the sum and tensor are associative and the tensor
+    distributes over the sum, else None."""
+    gens = _validate_section(cat, report, "category")
     n = cat.n_objects
     _check_table(n, cat.tensor, n, n, "category tensor")
     if not 0 <= cat.unit < n:
         raise StructuralError("category unit id out of range")
     rng, t = range(n), cat.tensor
+    scan = not (gens is not None and _additive(t, cat.sum, cat.sum, gens)
+                and _associates(t, gens))
     for x in rng:
         for y in rng:
             if t[x][y] != t[y][x]:
                 report.add("tensor-commutative", "x*y != y*x", x, y)
-            for z in rng:
-                if t[t[x][y]][z] != t[x][t[y][z]]:
-                    report.add("tensor-associative", "(xy)z != x(yz)", x, y, z)
-                if t[z][cat.sum[x][y]] != cat.sum[t[z][x]][t[z][y]]:
-                    report.add("tensor-distributive", "z(x+y) != zx+zy", x, y, z)
+            if scan:
+                for z in rng:
+                    if t[t[x][y]][z] != t[x][t[y][z]]:
+                        report.add("tensor-associative", "(xy)z != x(yz)", x, y, z)
+                    if t[z][cat.sum[x][y]] != cat.sum[t[z][x]][t[z][y]]:
+                        report.add("tensor-distributive", "z(x+y) != zx+zy", x, y, z)
         if t[x][cat.unit] != x:
             report.add("tensor-unit", "x tensor 1 != x", x)
         if t[x][cat.zero] != cat.zero:
             report.add("tensor-zero", "x tensor 0 != 0", x)
+    return None if scan else gens
 
 
-def _validate_module(p, report):
-    """The module section and the action axioms (Stevenson, 2013)."""
-    _validate_section(p, report, "module")
+def _validate_module(p, report, base_gens=None):
+    """The module section and the action axioms (Stevenson, 2013).
+    ``base_gens`` is what ``_validate_category`` returned for the base;
+    without it every action axiom is checked on every triple."""
+    gens = _validate_section(p, report, "module")
     n, k = p.n_objects, p.base
     _check_table(n, p.action, k.n_objects, n, "action")
     rng, krng, act = range(n), range(k.n_objects), p.action
@@ -266,9 +348,13 @@ def _validate_module(p, report):
             report.add("action-unit", "1 * m != m", m)
         if act[k.zero][m] != p.zero:
             report.add("action-zero-left", "0_K * m != 0_M", m)
+    scan = not (base_gens is not None and gens is not None
+                and _acts(p, base_gens, gens))
     for a in krng:
         if act[a][p.zero] != p.zero:
             report.add("action-zero-right", "a * 0_M != 0_M", a)
+        if not scan:
+            continue
         for b in krng:
             for m in rng:
                 if act[k.tensor[a][b]][m] != act[a][act[b][m]]:
@@ -294,11 +380,33 @@ def validate(p):
     (a + b)m = m(a + b) = ma + mb.  So the module checks run only for a
     genuine module, and each violation is reported once.  Compatibility
     T(m) = T(1) * m follows from no category rule and is always checked.
+
+    Each cubic axiom is first checked with its last variable g running over
+    a set G that generates the sum (``_generators``), in n^2 |G| steps, in
+    this order, each step resting on the ones before:
+
+    - sum associativity: the c with (x+y)+c = x+(y+c) for all x, y are
+      closed under the sum, since (x+y)+(a+b) = ((x+y)+a)+b =
+      (x+(y+a))+b = x+((y+a)+b) = x+(y+(a+b)), so G covers every c
+      (Light's test);
+    - z(x + g) = zx + zg, and a(m + g) = am + ag for the action: by
+      induction on g, since z(x+(a+b)) = z((x+a)+b) = (zx+za)+zb =
+      zx+(za+zb) = zx+z(a+b) by sum associativity;
+    - (a + g)m = am + gm, by the same induction, with K's and M's sums
+      associative;
+    - (xy)g = x(yg), since (xy)(a+b) = (xy)a+(xy)b = x(ya)+x(yb) =
+      x(y(a+b)) by distributivity, and (ag)m = a(gm), since
+      (a(b+c))m = (ab)m+(ac)m = a(bm)+a(cm) = a((b+c)m) by the tensor
+      and both action distributivities.
+
+    A check over G that fails finds a real violation; then that section
+    runs the scan over every triple, so a report lists every violation,
+    witness and message in the same order as a full scan.
     """
     report = ValidationReport()
-    _validate_category(p.base, report)
+    base_gens = _validate_category(p.base, report)
     if not is_self_module(p):
-        _validate_module(p, report)
+        _validate_module(p, report, base_gens)
     t1 = p.base.translate[p.base.unit]
     for m in range(p.n_objects):
         if p.translate[m] != p.action[t1][m]:

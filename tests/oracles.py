@@ -14,6 +14,7 @@ the model's summand table and triangle positions.
 from itertools import combinations
 
 from ttg import all_submodules, generate
+from ttg.presentation import StructuralError
 
 
 def thick_by_definition(p, s):
@@ -397,3 +398,109 @@ def ultrafilter_by_definition(space, c):
         out.append((i, thick_by_definition(p, induced),
                     c.apply(induced) == induced, induced == N, bicond))
     return tuple(out)
+
+
+def _check_table_by_scan(bound, table, rows, cols, what):
+    if len(table) != rows:
+        raise StructuralError("%s table has %d rows, expected %d" % (what, len(table), rows))
+    for i, row in enumerate(table):
+        if len(row) != cols:
+            raise StructuralError("%s table row %d has %d entries, expected %d"
+                                  % (what, i, len(row), cols))
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not (0 <= v < bound):
+                raise StructuralError("%s[%d][%d] = %r is out of range" % (what, i, j, v))
+
+
+def _section_by_scan(sec, add, what):
+    n = sec.n_objects
+    _check_table_by_scan(n, sec.sum, n, n, what + " sum")
+    if len(sec.translate) != n or sorted(sec.translate) != list(range(n)):
+        raise StructuralError("%s translate is not a bijection" % what)
+    for t in sec.triangles:
+        if len(t) != 3 or any(not isinstance(v, int) or not 0 <= v < n for v in t):
+            raise StructuralError("malformed %s triangle %r" % (what, t))
+    if not 0 <= sec.zero < n:
+        raise StructuralError("%s zero id out of range" % what)
+
+    rule = "" if what == "category" else what + "-"
+    rng, s = range(n), sec.sum
+    for x in rng:
+        for y in rng:
+            if s[x][y] != s[y][x]:
+                add(rule + "sum-commutative", "x+y != y+x", x, y)
+            for z in rng:
+                if s[s[x][y]][z] != s[x][s[y][z]]:
+                    add(rule + "sum-associative", "(x+y)+z != x+(y+z)", x, y, z)
+        if s[x][sec.zero] != x:
+            add(rule + "sum-unit", "x + 0 != x", x)
+    for a, b, c in sec.triangles:
+        r = (b, c, sec.translate[a])
+        if r not in sec.triangles:
+            add("triangle-rotation", "rotation of triangle missing", (a, b, c), r)
+    for x in rng:
+        for y in rng:
+            if (x, s[x][y], y) not in sec.triangles:
+                add("triangle-split", "(x, x+y, y) triangle missing", x, s[x][y], y)
+
+
+def validate_by_scan(p):
+    """Every violation ``validate`` reports, as (rule, message, witness)
+    in its order, by scanning every pair and triple of objects for every
+    axiom; raises StructuralError as ``validate`` does."""
+    violations = []
+
+    def add(rule, message, *witness):
+        violations.append((rule, message, witness))
+
+    cat = p.base
+    _section_by_scan(cat, add, "category")
+    n = cat.n_objects
+    _check_table_by_scan(n, cat.tensor, n, n, "category tensor")
+    if not 0 <= cat.unit < n:
+        raise StructuralError("category unit id out of range")
+    rng, t = range(n), cat.tensor
+    for x in rng:
+        for y in rng:
+            if t[x][y] != t[y][x]:
+                add("tensor-commutative", "x*y != y*x", x, y)
+            for z in rng:
+                if t[t[x][y]][z] != t[x][t[y][z]]:
+                    add("tensor-associative", "(xy)z != x(yz)", x, y, z)
+                if t[z][cat.sum[x][y]] != cat.sum[t[z][x]][t[z][y]]:
+                    add("tensor-distributive", "z(x+y) != zx+zy", x, y, z)
+        if t[x][cat.unit] != x:
+            add("tensor-unit", "x tensor 1 != x", x)
+        if t[x][cat.zero] != cat.zero:
+            add("tensor-zero", "x tensor 0 != 0", x)
+
+    if (p.names, p.zero, p.sum, p.translate, p.triangles, p.action) != (
+            cat.names, cat.zero, cat.sum, cat.translate, cat.triangles, cat.tensor):
+        _section_by_scan(p, add, "module")
+        n, k = p.n_objects, p.base
+        _check_table_by_scan(n, p.action, k.n_objects, n, "action")
+        rng, krng, act = range(n), range(k.n_objects), p.action
+        for m in rng:
+            if act[k.unit][m] != m:
+                add("action-unit", "1 * m != m", m)
+            if act[k.zero][m] != p.zero:
+                add("action-zero-left", "0_K * m != 0_M", m)
+        for a in krng:
+            if act[a][p.zero] != p.zero:
+                add("action-zero-right", "a * 0_M != 0_M", a)
+            for b in krng:
+                for m in rng:
+                    if act[k.tensor[a][b]][m] != act[a][act[b][m]]:
+                        add("action-associative", "(ab)*m != a*(b*m)", a, b, m)
+                    if act[k.sum[a][b]][m] != p.sum[act[a][m]][act[b][m]]:
+                        add("action-distributive-left", "(a+b)*m != a*m + b*m", a, b, m)
+            for m in rng:
+                for m2 in rng:
+                    if act[a][p.sum[m][m2]] != p.sum[act[a][m]][act[a][m2]]:
+                        add("action-distributive-right", "a*(m+m') != a*m + a*m'",
+                            a, m, m2)
+    t1 = p.base.translate[p.base.unit]
+    for m in range(p.n_objects):
+        if p.translate[m] != p.action[t1][m]:
+            add("translation-compatibility", "T(m) != T(1) * m", m)
+    return violations

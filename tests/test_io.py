@@ -72,6 +72,16 @@ def test_round_trip_normalization(models_dir):
         assert normalize_document(reparsed, p2) == normalized
 
 
+def test_normalized_triangles_sort_by_name(chain3, graded2, restrict2):
+    # chain3's z is id 0 but sorts last, and graded2's id 1 is "1|0" but
+    # id 4 is "0|1": name order is not id order
+    for p in (chain3, graded2, restrict2):
+        doc = normalize_document({"category": {}, "module": {}}, p)
+        for sec, key in ((p.base, "category"), (p, "module")):
+            assert doc[key]["triangles"] == sorted(
+                [sec.names[v] for v in t] for t in sec.triangles)
+
+
 def test_digest_stability(models_dir):
     _, _, doc = load(model_path(models_dir, "support2"))
     assert model_digest(doc) == model_digest(json.loads(dump_document(doc)))
@@ -211,10 +221,22 @@ def test_console_entry_point(models_dir, tmp_path):
     assert ttg_command("validate", "--model", str(tmp_path / "missing.json")) == 2
 
 
+# An ill-shaped last triangle of support3, read after every other triangle,
+# and the error line it must give.
+_LAST_TRIANGLE = {
+    "last-triangle-unknown-name": (["z", "z", "q"], "unknown object name 'q' in category"),
+    "last-triangle-two-entries": (["z", "z"], "category triangle ['z', 'z'] must have 3 entries"),
+    "last-triangle-number": (5, "category triangle 5 must have 3 entries"),
+    "last-triangle-string": ("zzz", "category triangle 'zzz' must have 3 entries"),
+}
+
+
 def _malformed(case, doc):
     """``doc`` edited so that loading it reads one ill-shaped value."""
-    cat, ops = doc["category"], doc["operators"]
-    if case == "module-without-translate":
+    cat, ops = doc["category"], doc.get("operators")
+    if case in _LAST_TRIANGLE:
+        cat["triangles"][-1] = _LAST_TRIANGLE[case][0]
+    elif case == "module-without-translate":
         doc["module"] = {key: cat[key]
                          for key in ("objects", "zero", "sum", "triangles")}
         doc["module"]["action"] = cat["tensor"]
@@ -259,16 +281,21 @@ _UNREADABLE = {"not-utf8": b"\xff\xfe{}", "nested-past-recursion-limit": b"[" * 
     "two-entry-triangle", "module-is-a-list", "operators-is-a-list",
     "table-operator-with-list-table", "number-triangle", "number-sum-row",
     "list-zero", "number-division-s", "list-operator-kind",
-    "radical-with-number-table", "not-utf8", "nested-past-recursion-limit"])
+    "radical-with-number-table", "not-utf8", "nested-past-recursion-limit",
+    *_LAST_TRIANGLE])
 def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
     path = tmp_path / "malformed.json"
     if case in _UNREADABLE:
         path.write_bytes(_UNREADABLE[case])
     else:
-        with open(model_path(models_dir, "support2")) as fh:
+        model = "support3" if case in _LAST_TRIANGLE else "support2"
+        with open(model_path(models_dir, model)) as fh:
             path.write_text(json.dumps(_malformed(case, json.load(fh))))
     assert main(["validate", "--model", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case in _LAST_TRIANGLE:
+        assert err == "error: %s\n" % _LAST_TRIANGLE[case][1]
 
 
 def test_cli_generate(models_dir, capsys):

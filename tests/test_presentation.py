@@ -8,12 +8,14 @@ from ttg import (chain_model, enumerate_smod, generate, identity_operator,
 from ttg.cli import main
 from ttg.docio import load, normalize_document, save
 from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
-                              _validate_category, _validate_module,
+                              _acts, _generators, _validate_category,
+                              _validate_module, _validate_section,
                               rotation_closure)
 from ttg.thick import _closure
 
+from conftest import restriction_module
 from oracles import (basis_by_definition, brute_thick_sets,
-                     principals_by_worklist)
+                     principals_by_worklist, validate_by_scan)
 
 
 def test_support_model_validates(support2, support3):
@@ -156,6 +158,121 @@ def test_genuine_module_edits_reported(restrict2):
     bad_sum = _set_cell(restrict2.sum, 1, 0, 0)  # m1 + z = z
     rules = {v.rule for v in validate(restrict2._replace(sum=bad_sum)).violations}
     assert any(rule.startswith("module-sum-") for rule in rules)
+
+
+def _sum_closure(sum_table, gens):
+    reached = set(gens)
+    while True:
+        more = {sum_table[x][y] for x in reached for y in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def test_generators_generate_every_object(support2, support3, chain3, downsets,
+                                          graded2, restrict2, split_probe, glued):
+    rng = random.Random(5)
+    fixtures = (support2, support3, chain3, support_model(4), downsets, graded2,
+                restrict2, split_probe, glued)
+    tables = [sec.sum for p in fixtures for sec in (p.base, p)]
+    # edited sums, whose indecomposables need not generate
+    tables += [_set_cell(p.sum, rng.randrange(p.n_objects), rng.randrange(p.n_objects),
+                         rng.randrange(p.n_objects))
+               for p in (support2, chain3, support3) * 100]
+    for table in tables:
+        assert _sum_closure(table, _generators(table)) == set(range(len(table)))
+    support5 = support_model(5)
+    assert ([support5.names[g] for g in _generators(support5.sum)]
+            == ["z", "a", "b", "c", "d", "e"])
+    # Z/3: 0 = 1 + 2, 1 = 2 + 2 and 2 = 1 + 1, so no element is
+    # indecomposable and the least unreached ids 0 and 1 are added
+    z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
+    assert _generators(z3) == [0, 1]
+
+
+def test_valid_models_pass_the_checks_over_generators(
+        support2, support3, chain3, downsets, graded2, restrict2, glued):
+    # a check over G that failed on a valid model would cost the full scan
+    # without changing any report
+    for p in (support2, support3, chain3, support_model(4), downsets, graded2,
+              restrict2, restriction_module(3, 2), glued):
+        report = ValidationReport()
+        base_gens = _validate_category(p.base, report)
+        assert base_gens == _generators(p.base.sum) and report.ok
+        gens = _validate_section(p, report, "module")
+        assert gens == _generators(p.sum) and _acts(p, base_gens, gens)
+
+
+def _matches_scan(p):
+    """validate(p) lists the oracle's violations, or raises its error."""
+    try:
+        expected = validate_by_scan(p)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError) as raised:
+            validate(p)
+        assert str(raised.value) == str(exc)
+        return None
+    assert validate(p).violations == expected
+    return expected
+
+
+def test_validate_matches_scan(support2, support3, chain3, downsets, graded2,
+                              restrict2, split_probe, glued):
+    # validate checks the cubic axioms over generators and scans only after
+    # a failure; every report must equal the full scan's, witness for witness
+    for p in (support2, support3, chain3, support_model(4), downsets, graded2,
+              restrict2, split_probe, glued):
+        assert _matches_scan(p) == ([] if p is not split_probe else
+                                    validate_by_scan(split_probe))
+    rng = random.Random(13)
+    outcomes = []
+    for i in range(1500):
+        cat = _one_cell_mutation(rng, (support2, chain3, support3)[i % 3].base)
+        violations = _matches_scan(self_module(cat))
+        outcomes.append(violations)
+        # Light's test decides sum associativity exactly
+        assert (_validate_section(cat, ValidationReport(), "category") is not None) == (
+            "sum-associative" not in {v[0] for v in violations})
+    restrict3 = restriction_module(3, 2)
+    for i in range(900):
+        p = (restrict2, restrict3)[i % 2]
+        if i % 3 == 2:  # a broken base: the action checks lose their premises
+            p = p._replace(base=_one_cell_mutation(rng, p.base))
+        elif rng.random() < 0.5:
+            action = _set_cell(p.action, rng.randrange(p.base.n_objects),
+                               rng.randrange(p.n_objects), rng.randrange(p.n_objects))
+            p = p._replace(action=action)
+        else:
+            p = p._replace(sum=_set_cell(p.sum, rng.randrange(p.n_objects),
+                                         rng.randrange(p.n_objects),
+                                         rng.randrange(p.n_objects)))
+        outcomes.append(_matches_scan(p))
+    cat = support2.base
+    malformed = [self_module(cat._replace(triangles=cat.triangles | {t}))
+                 for t in ((0, 1), (0, 1, 2, 3), (3, 1, 4), (3, -1, 1), (3, 1.5, 3),
+                           (3, "a", 3))]
+    malformed += [self_module(cat._replace(tensor=_set_cell(cat.tensor, 1, 2, 4))),
+                  self_module(cat._replace(unit=4)),
+                  restrict2._replace(zero=2), restrict2._replace(action=restrict2.action[:3]),
+                  restrict2._replace(sum=_set_cell(restrict2.sum, 0, 1, 2))]
+    assert [_matches_scan(p) for p in malformed] == [None] * len(malformed)
+    # an entry that is an int but not of type int is read as its value
+    assert (0, 1, 3) not in cat.triangles
+    assert _matches_scan(self_module(cat._replace(triangles=cat.triangles
+                                                  | {(0, True, 3)})))
+    # b * m3 = z and t * m3 = m1 on the subsets of two atoms: only the
+    # action's distributivity over M's sum fails among the cubic rules
+    square = restriction_module(2, 2)
+    action = _set_cell(_set_cell(square.action, 2, 3, 0), 3, 3, 1)
+    outcomes.append(_matches_scan(square._replace(action=action)))
+    assert {v[0] for v in outcomes[-1]} == {
+        "action-distributive-right", "action-unit", "translation-compatibility"}
+    # the cases reach passes and failures of each cubic rule
+    rules = {v[0] for violations in outcomes if violations for v in violations}
+    assert [] in outcomes
+    assert {"sum-associative", "tensor-associative", "tensor-distributive",
+            "module-sum-associative", "action-associative",
+            "action-distributive-left", "action-distributive-right"} <= rules
 
 
 def test_support_model_sizes():
