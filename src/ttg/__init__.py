@@ -10,8 +10,7 @@ from .operators import (FamilySpec, OperatorSpec, c_infinity, classify,
                         table_operator, validate_family)
 from .space import (SModSpace, basis_properties, enumerate_smod, fixed_points,
                     spectral_report, ultrafilter_check)
-from .monoid import (continuity_check, identity_element, monoid_op,
-                     monoid_report, nc_set)
+from .monoid import identity_element, monoid_op, monoid_report
 
 __all__ = [
     "CategoryPresentation", "ModulePresentation", "ResourceError",
@@ -24,8 +23,7 @@ __all__ = [
     "validate_family",
     "SModSpace", "basis_properties", "enumerate_smod", "fixed_points",
     "spectral_report", "ultrafilter_check",
-    "continuity_check", "identity_element", "monoid_op", "monoid_report",
-    "nc_set",
+    "identity_element", "monoid_op", "monoid_report",
 ]
 
 __version__ = "0.1.0"

@@ -1,32 +1,25 @@
-"""The monoid of fixed points: completed join, identity, continuity checks.
+"""The monoid of fixed points: completed join and identity.
 
 The operation on fixed points is the completion c^inf(N + N') of the join
 of two submodules.  Once c passes the gate of ``classify`` (extensive,
 order-preserving, finite type and SMod-valued), c^inf is a closure
 operator on SMod: its value at a point N is the least fixed point of c
 that contains N.  The fixed points then form a finite lattice whose join
-is the operation, so the monoid axioms are theorems, and ``monoid_report``
-derives them instead of checking them (Davey & Priestley, Introduction to
-Lattices and Order, 2002, ch. 7).  Their brute-force forms live in the
-tests.  ``continuity_check`` still compares, object by object, the
-preimage of each basic open under join-with-N with the open cover indexed
-by the objects whose principal join reaches it.
+is the operation, so the monoid axioms and continuity are theorems, and
+``monoid_report`` derives them instead of checking them (Davey & Priestley,
+Introduction to Lattices and Order, 2002, ch. 7).  Each join is one lookup
+in the completion's principal table; the tests keep the brute-force forms.
 """
 
 from collections import namedtuple
-from itertools import combinations_with_replacement
 
 from .operators import OperatorError
 from .space import enumerate_smod, fixed_points
-from .thick import _checked, _closure, add
+from .thick import _checked, _closure, _generator
 
 
 class MonoidError(Exception):
     pass
-
-
-def _fixed_space(c):
-    return fixed_points(enumerate_smod(c.presentation), c)
 
 
 def _require_fixed(c, N):
@@ -38,13 +31,12 @@ def _require_fixed(c, N):
     return N
 
 
-def _join(c, N, N2):
-    return c.completion.apply(add(c.presentation, N, N2))
-
-
 def monoid_op(c, N, N2):
-    """Completed join of two fixed points; lands in the fixed-point space."""
-    return _join(c, _require_fixed(c, N), _require_fixed(c, N2))
+    """Completed join of two fixed points; lands in the fixed-point space.
+    One lookup in the completion's principal table (see ``monoid_report``)."""
+    p = c.presentation
+    g, h = (_generator(p, _require_fixed(c, X)) for X in (N, N2))
+    return c.completion.principal_table[p.sum[g][h]]
 
 
 def identity_element(c):
@@ -53,48 +45,7 @@ def identity_element(c):
     It is neutral for ``monoid_op`` once c passes the gate (see
     ``monoid_report``); ``c.completion`` raises OperatorError otherwise."""
     p = c.presentation
-    return c.completion.apply(p.principals[p.zero])
-
-
-def _principal_joins(c, N):
-    """c^inf(N + K(m2)) for every object m2, in object order."""
-    return [_join(c, N, K) for K in c.presentation.principals]
-
-
-def nc_set(c, N, m):
-    """Objects whose principal submodule joined onto N reaches m."""
-    c.presentation.check_object(m)
-    N = _require_fixed(c, N)
-    return frozenset(m2 for m2, J in enumerate(_principal_joins(c, N)) if m in J)
-
-
-class ContinuityReport(namedtuple("ContinuityReport", "entries")):
-    """``entries``: (object id, ok, preimage indices, cover indices), one
-    per object."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _, _ in self.entries)
-
-
-def continuity_check(c, N):
-    """Compare the preimage of each basic open under join-with-N against the
-    union of basic opens indexed by nc_set, object by object.  Each join
-    with a point and with a principal is computed once, for all objects."""
-    N = _require_fixed(c, N)
-    space = _fixed_space(c)
-    images = [_join(c, N, pt) for pt in space.points]
-    joins = _principal_joins(c, N)
-    entries = []
-    for m in range(c.presentation.n_objects):
-        preimage = frozenset(i for i, image in enumerate(images) if m in image)
-        cover = frozenset().union(*(space.basis[m2]
-                                    for m2, J in enumerate(joins) if m in J))
-        entries.append((m, preimage == cover, tuple(sorted(preimage)),
-                        tuple(sorted(cover))))
-    return ContinuityReport(tuple(entries))
+    return c.completion.principal_table[p.zero]
 
 
 class MonoidReport(namedtuple(
@@ -112,18 +63,27 @@ class MonoidReport(namedtuple(
 
 
 def monoid_report(c):
-    """Join each unordered pair of points once into the operation table,
-    and derive every monoid axiom and continuity from the gate.
+    """Read the operation table from the completion's principal table, and
+    derive every monoid axiom and continuity from the gate.
+
+    The lemma: every point N is K(g_N), g_N the sum of N's members (see
+    ``thick._closure``), and K(g) + K(h) = K(g + h), since a thick
+    submodule holds g and h exactly when it holds g + h.  So N + N' is
+    K(g_N + g_N').  Past the gate c^inf preserves order, so c^inf(K(h)),
+    the union of ``table[n]`` over n in K(h), is ``table[h]``, where
+    ``table = c.completion.principal_table``: each K(n) lies in K(h), and
+    h is one of the n.  Cell (i, j) is therefore ``table[g_i + g_j]``, one
+    lookup, and the identity is ``table[0]``.
 
     Raises MonoidError when c fails the gate.  Otherwise, on a presentation
     that passes ``validate``, each flag is a theorem, and ``witnesses`` is
     empty:
 
-    - commutative: the join reads only N | N2, so one join fills the cells
-      (i, j) and (j, i);
-    - closed: ``add`` returns a principal K(g), which is a point; every
-      iterate of c from a point is a point (SMod-valued), and the
-      iteration stops at a fixed point of c;
+    - commutative: K(g_i + g_j) is the least thick submodule holding
+      N | N2, so cells (i, j) and (j, i) hold the same point;
+    - closed: ``table[h]`` is c^inf(K(h)); every iterate of c from a point
+      is a point (SMod-valued), and the iteration stops at a fixed point
+      of c;
     - idempotent: c^inf(N + N) = c^inf(N) = N on a fixed point N;
     - associative: the iterates of c from N + N2 grow (extensive) to a
       fixed point.  A fixed point F holding N and N2 holds N + N2 (F is
@@ -135,25 +95,22 @@ def monoid_report(c):
     - continuous: each point N2 is K(g), g the sum of its members, so m
       lies in c^inf(N + N2) exactly when it lies in c^inf(N + K(m2)) for
       some m2 in N2 (take m2 = g; conversely, order preservation): the
-      preimage of U(m) is the cover ``continuity_check`` compares.  Finite
-      spaces are Alexandrov spaces, where continuous means monotone for the
-      specialization order, which on a product is componentwise, so the
-      continuous translations make the operation jointly continuous
-      (Alexandroff 1937).
+      preimage of U(m) under join-with-N is the union of the U(m2) over
+      those m2, an open set.  Finite spaces are Alexandrov spaces, where
+      continuous means monotone for the specialization order, which on a
+      product is componentwise, so the continuous translations make the
+      operation jointly continuous (Alexandroff 1937).
     """
     p = c.presentation
     try:
-        e = c.completion.apply(p.principals[p.zero])
+        table = c.completion.principal_table
     except OperatorError:
         raise MonoidError("operator does not pass the extensive/order-preserving/"
                           "finite-type gate") from None
-    space = _fixed_space(c)
-    points = space.points
-    index = {pt: i for i, pt in enumerate(points)}
-    n = len(points)
-    joins = {(i, j): index[_join(c, points[i], points[j])]
-             for i, j in combinations_with_replacement(range(n), 2)}
-    op_table = tuple(tuple(joins[min(i, j), max(i, j)] for j in range(n))
-                     for i in range(n))
-    return MonoidReport(space, op_table, index[e], True, True, True, True,
-                        True, True, ())
+    space = fixed_points(enumerate_smod(p), c)
+    index = {pt: i for i, pt in enumerate(space.points)}
+    gens = [_generator(p, pt) for pt in space.points]
+    op_table = tuple(tuple(index[table[row[h]]] for h in gens)
+                     for row in (p.sum[g] for g in gens))
+    return MonoidReport(space, op_table, index[table[p.zero]], True, True,
+                        True, True, True, True, ())

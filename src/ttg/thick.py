@@ -171,6 +171,14 @@ def witnesses(cert, m, X):
     return frozenset(leaves)
 
 
+def _generator(p, X):
+    """g_X, the sum of X's members, starting from zero."""
+    g = p.zero
+    for m in sorted(_checked(p, X)):
+        g = p.sum[g][m]
+    return g
+
+
 def _closure(p, X):
     """The smallest thick submodule containing X: K(g), g the sum of X.
 
@@ -178,10 +186,7 @@ def _closure(p, X):
     summand of g, so every member of X, by summand closure.  Both steps use
     only the sum axioms that ``validate`` checks.
     """
-    g = p.zero
-    for m in sorted(_checked(p, X)):
-        g = p.sum[g][m]
-    return p.principals[g]
+    return p.principals[_generator(p, X)]
 
 
 def add(p, N, N2):

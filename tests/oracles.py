@@ -1,19 +1,21 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written directly from the defining conditions, without
-going through the library's checkers or fixpoint machinery.  Three
+going through the library's checkers or fixpoint machinery.  Four
 exceptions: ``monoid_op_by_definition`` joins with ``generate``, the
 certificate-recording fixpoint that the library's join does not use and
 that the tests check against ``minimal_thick_superset``;
 ``classify_by_definition`` ranges over ``all_submodules`` and the principal
-table, which the tests check against ``brute_thick_sets``; and
+table, which the tests check against ``brute_thick_sets``;
 ``principals_by_worklist``, the principal table's earlier builder, reads
-the model's summand table and triangle positions.
+the model's summand table and triangle positions; and ``op_table_by_join``,
+the monoid table's earlier builder, joins with ``add`` and completes with
+``c.completion``.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
-from ttg import all_submodules, generate
+from ttg import add, all_submodules, enumerate_smod, fixed_points, generate
 from ttg.presentation import StructuralError
 
 
@@ -168,6 +170,45 @@ def monoid_op_by_definition(c, N, N2):
     """c^inf(N + N'): generate the union, then iterate the operator."""
     joined, _ = generate(c.presentation, frozenset(N) | frozenset(N2))
     return iterate_operator(c, joined)
+
+
+def op_table_by_join(c):
+    """(op_table, identity) as ``monoid_report`` built them with one join
+    per unordered pair of fixed points: c^inf(N + N') through ``add`` and
+    ``c.completion.apply``."""
+    p = c.presentation
+    e = c.completion.apply(p.principals[p.zero])
+    points = fixed_points(enumerate_smod(p), c).points
+    index = {pt: i for i, pt in enumerate(points)}
+    n = len(points)
+    joins = {(i, j): index[c.completion.apply(add(p, points[i], points[j]))]
+             for i, j in combinations_with_replacement(range(n), 2)}
+    op_table = tuple(tuple(joins[min(i, j), max(i, j)] for j in range(n))
+                     for i in range(n))
+    return op_table, index[e]
+
+
+def nc_set(c, N, m):
+    """Objects whose principal submodule joined onto N reaches m."""
+    return frozenset(m2 for m2 in range(c.presentation.n_objects)
+                     if m in monoid_op_by_definition(c, N, {m2}))
+
+
+def continuity_check(c, N):
+    """(m, ok, preimage, cover) for each object m: the preimage of U(m)
+    under join-with-N, and the union of the U(m2) over m2 in
+    ``nc_set(c, N, m)``, as indices of the fixed points of c among
+    ``brute_thick_sets``; ok when the two agree."""
+    p = c.presentation
+    points = [s for s in brute_thick_sets(p) if c.apply(s) == s]
+    images = [monoid_op_by_definition(c, N, N2) for N2 in points]
+    entries = []
+    for m in range(p.n_objects):
+        reach = nc_set(c, N, m)
+        preimage = tuple(i for i, image in enumerate(images) if m in image)
+        cover = tuple(i for i, M in enumerate(points) if reach & M)
+        entries.append((m, preimage == cover, preimage, cover))
+    return tuple(entries)
 
 
 def monoid_by_definition(c, space, op_table):

@@ -4,16 +4,18 @@ from time import perf_counter
 
 import pytest
 
-from ttg import (add, all_submodules, classify, continuity_check,
-                 enumerate_smod, fixed_points, from_family, identity_element,
-                 identity_operator, monoid_op, monoid_report, nc_set,
+from ttg import (add, all_submodules, chain_model, classify, enumerate_smod,
+                 fixed_points, from_family, identity_element,
+                 identity_operator, monoid_op, monoid_report, radical,
                  support_model, table_operator)
 from ttg.docio import load
 from ttg.monoid import MonoidError
 from ttg.presentation import UnknownObjectError
 
-from oracles import (jointly_continuous, monoid_by_definition,
-                     monoid_op_by_definition)
+from conftest import graded_support_model, restriction_module
+from oracles import (continuity_check, jointly_continuous,
+                     monoid_by_definition, monoid_op_by_definition, nc_set,
+                     op_table_by_join)
 
 
 def test_monoid_op_identity_operator(support2):
@@ -57,17 +59,17 @@ def test_nc_set_examples(support2, chain3, promote):
 
 def test_continuity_identity(support2):
     c = identity_operator(support2)
-    rep = continuity_check(c, frozenset({0, 1}))
-    assert rep.passed
+    entries = continuity_check(c, frozenset({0, 1}))
+    assert all(ok for _, ok, _, _ in entries)
     # m = zero: both sides are the whole space
-    entry = rep.entries[support2.zero]
+    entry = entries[support2.zero]
     npts = len(fixed_points(enumerate_smod(support2), c).points)
     assert entry[2] == tuple(range(npts)) and entry[3] == tuple(range(npts))
 
 
 def test_continuity_promote(chain3, promote):
-    rep = continuity_check(promote, frozenset({0}))
-    assert rep.passed
+    entries = continuity_check(promote, frozenset({0}))
+    assert all(ok for _, ok, _, _ in entries)
 
 
 def test_monoid_report_identity(support2):
@@ -110,15 +112,9 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
     c = identity_operator(support2)
     full = frozenset(range(4))
     with pytest.raises(UnknownObjectError):
-        nc_set(c, full, bad)
-    with pytest.raises(UnknownObjectError):
-        nc_set(c, {bad}, 0)
-    with pytest.raises(UnknownObjectError):
         monoid_op(c, {bad}, full)
     with pytest.raises(UnknownObjectError):
         monoid_op(c, full, {bad})
-    with pytest.raises(UnknownObjectError):
-        continuity_check(c, {bad})
     with pytest.raises(UnknownObjectError):
         c.apply({bad})
     with pytest.raises(UnknownObjectError):
@@ -134,10 +130,6 @@ def test_monoid_entry_points_reject_non_thick(support2):
         monoid_op(c, N, {z})
     with pytest.raises(MonoidError, match="not thick"):
         monoid_op(c, {z}, N)
-    with pytest.raises(MonoidError, match="not thick"):
-        nc_set(c, N, t)
-    with pytest.raises(MonoidError, match="not thick"):
-        continuity_check(c, N)
 
 
 def test_table_operator_repairs_raw_union(support2):
@@ -183,6 +175,7 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
         assert rep.space.points == points
         least = [i for i, N in enumerate(points) if all(N <= M for M in points)]
         assert [rep.identity] == least
+        assert identity_element(c) == points[rep.identity]
         table = []
         for i, N in enumerate(points):
             images = [monoid_op_by_definition(c, N, N2) for N2 in points]
@@ -192,19 +185,33 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
                 assert rep.op_table[i][j] == points.index(images[j])
             joins = [monoid_op_by_definition(c, N, {m2})
                      for m2 in range(p.n_objects)]
-            entries = []
             for m in range(p.n_objects):
+                # the preimage of U(m) under join-with-N is open: the
+                # derived ``continuous`` flag rests on this equality
                 reach = {m2 for m2, J in enumerate(joins) if m in J}
-                assert nc_set(c, N, m) == reach
                 preimage = tuple(k for k, image in enumerate(images)
                                  if m in image)
                 cover = tuple(k for k, M in enumerate(points) if reach & M)
-                entries.append((m, preimage == cover, preimage, cover))
-            assert continuity_check(c, N).entries == tuple(entries)
+                assert preimage == cover
         assert monoid_by_definition(c, rep.space, table) == (
             rep.closed, rep.associative, rep.neutral, rep.idempotent,
             rep.witnesses) == (True, True, True, True, ())
     assert monoid_report(identity_operator(graded2)).passed
+
+
+def test_op_table_matches_join_by_pair(operator_cases, glued, restrict2):
+    """Each cell read from the completion's principal table equals the
+    completed join of its pair of points."""
+    cases = [c for c in operator_cases if classify(c.presentation, c).gate]
+    assert len(cases) > 30
+    cases += [identity_operator(glued), radical(glued),
+              identity_operator(restrict2),
+              identity_operator(restriction_module(3, 2))]
+    for p in (support_model(5), chain_model(10), graded_support_model(3)):
+        cases += [identity_operator(p), radical(p)]
+    for c in cases:
+        rep = monoid_report(c)
+        assert (rep.op_table, rep.identity) == op_table_by_join(c)
 
 
 def test_continuous_flag_matches_joint_continuity_oracle(
