@@ -175,54 +175,40 @@ def cmd_report(args, p, operators):
     return {"checks": checks, "passed": passed}, lines
 
 
+_OPERATOR = ("--operator", {"default": "identity",
+                            "help": "named operator from the model, or 'identity'"})
+_DOT = ("--dot", {"help": "write a DOT graph to a file"})
+_SEED = ("--seed", {"default": "", "help": "comma-separated object names"})
+
+# Each subcommand: its handler, help line and options beyond the common three.
+COMMANDS = {
+    "validate": (cmd_validate, "check all presentation axioms", ()),
+    "generate": (cmd_generate, "generate a thick submodule from a seed", (_SEED,)),
+    "witness": (cmd_witness, "finite witness set for a generated object",
+                (_SEED, ("--target", {"required": True}))),
+    "smod": (cmd_smod, "enumerate all thick submodules", (_DOT,)),
+    "operators": (cmd_operators, "classify a named operator", (_OPERATOR,)),
+    "spectral": (cmd_spectral, "spectral checks on the fixed-point space",
+                 (_OPERATOR, _DOT)),
+    "ultrafilter": (cmd_ultrafilter, "ultrafilter fixed-point checks", (_OPERATOR,)),
+    "monoid": (cmd_monoid, "monoid structure certificate", (_OPERATOR, _DOT)),
+    "report": (cmd_report, "run every check", ()),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ttg",
         description="thick-submodule spaces over finite tensor triangulated models")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, operator=False, dot=False):
+    for name, (_, text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--model", required=True, help="model JSON file")
         sp.add_argument("--out", help="write the structured report to a file")
         sp.add_argument("--max-objects", type=int, default=MAX_OBJECTS_DEFAULT)
-        if operator:
-            sp.add_argument("--operator", default="identity",
-                            help="named operator from the model, or 'identity'")
-        if dot:
-            sp.add_argument("--dot", help="write a DOT graph to a file")
-
-    common(sub.add_parser("validate", help="check all presentation axioms"))
-    sp = sub.add_parser("generate", help="generate a thick submodule from a seed")
-    common(sp)
-    sp.add_argument("--seed", default="", help="comma-separated object names")
-    sp = sub.add_parser("witness", help="finite witness set for a generated object")
-    common(sp)
-    sp.add_argument("--seed", default="")
-    sp.add_argument("--target", required=True)
-    common(sub.add_parser("smod", help="enumerate all thick submodules"), dot=True)
-    common(sub.add_parser("operators", help="classify a named operator"),
-           operator=True)
-    common(sub.add_parser("spectral", help="spectral checks on the fixed-point space"),
-           operator=True, dot=True)
-    common(sub.add_parser("ultrafilter", help="ultrafilter fixed-point checks"),
-           operator=True)
-    common(sub.add_parser("monoid", help="monoid structure certificate"),
-           operator=True, dot=True)
-    common(sub.add_parser("report", help="run every check"))
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return parser
-
-
-HANDLERS = {
-    "validate": cmd_validate,
-    "generate": cmd_generate,
-    "witness": cmd_witness,
-    "smod": cmd_smod,
-    "operators": cmd_operators,
-    "spectral": cmd_spectral,
-    "ultrafilter": cmd_ultrafilter,
-    "monoid": cmd_monoid,
-    "report": cmd_report,
-}
 
 
 def _run(args):
@@ -238,7 +224,7 @@ def _run(args):
                               "violations": exc.messages}], "passed": False}
         lines = ["validate: FAIL"] + ["  " + m for m in exc.messages]
     else:
-        report, lines = HANDLERS[args.command](args, p, operators)
+        report, lines = COMMANDS[args.command][0](args, p, operators)
         report["digest"] = model_digest(doc)
     report["command"] = args.command
     if args.out:

@@ -7,14 +7,15 @@ operator on SMod: its value at a point N is the least fixed point of c
 that contains N.  The fixed points then form a finite lattice whose join
 is the operation, so the monoid axioms and continuity are theorems, and
 ``monoid_report`` derives them instead of checking them (Davey & Priestley,
-Introduction to Lattices and Order, 2002, ch. 7).  Each join is one lookup
-in the completion's principal table; the tests keep the brute-force forms.
+Introduction to Lattices and Order, 2002, ch. 7).  The points and each join
+are read from the completion's principal table; the tests keep the
+brute-force forms.
 """
 
 from collections import namedtuple
 
 from .operators import OperatorError
-from .space import enumerate_smod, fixed_points
+from .space import make_space
 from .thick import _checked, _closure, _generator
 
 
@@ -75,9 +76,15 @@ def monoid_report(c):
     h is one of the n.  Cell (i, j) is therefore ``table[g_i + g_j]``, one
     lookup, and the identity is ``table[0]``.
 
-    Raises MonoidError when c fails the gate.  Otherwise, on a presentation
-    that passes ``validate``, each flag is a theorem, and ``witnesses`` is
-    empty:
+    The space is read from the same table: its points are the fixed points
+    of c, SMod^c, exactly the values of ``table``.  Past the gate each
+    ``table[h]`` is the iterate of c from K(h) where c stops, so it is a
+    fixed point, and a point because c is SMod-valued.  A fixed point N is
+    K(g_N), and iterating c from N stops at once, so N = ``table[g_N]``.
+
+    Raises MonoidError, naming the failing condition, when c fails the
+    gate.  Otherwise, on a presentation that passes ``validate``, each flag
+    is a theorem, and ``witnesses`` is empty:
 
     - commutative: K(g_i + g_j) is the least thick submodule holding
       N | N2, so cells (i, j) and (j, i) hold the same point;
@@ -104,10 +111,9 @@ def monoid_report(c):
     p = c.presentation
     try:
         table = c.completion.principal_table
-    except OperatorError:
-        raise MonoidError("operator does not pass the extensive/order-preserving/"
-                          "finite-type gate") from None
-    space = fixed_points(enumerate_smod(p), c)
+    except OperatorError as exc:
+        raise MonoidError("operator does not pass the gate: %s" % exc) from None
+    space = make_space(table, p.n_objects)
     index = {pt: i for i, pt in enumerate(space.points)}
     gens = [_generator(p, pt) for pt in space.points]
     op_table = tuple(tuple(index[table[row[h]]] for h in gens)

@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .presentation import is_self_module
-from .thick import _checked, _closure, all_submodules, is_thick
+from .thick import _checked, _closure, _point_key, all_submodules, is_thick
 
 
 class OperatorError(Exception):
@@ -71,10 +71,6 @@ class OperatorClassification(namedtuple(
         # is deliberately not part of the gate.
         return (self.extensive and self.order_preserving and self.finite_type
                 and self.smod_valued)
-
-    @property
-    def closure_operator(self):
-        return self.extensive and self.order_preserving and self.idempotent
 
 
 class FamilySpec(namedtuple("FamilySpec", "members")):
@@ -141,16 +137,14 @@ def validate_family(p, members):
     is its union, so the union is already in the family.
     """
     members = frozenset(frozenset(f) for f in members)
-    full = frozenset(range(p.n_objects))
     for f in members:
         check = is_thick(p, f)
         if not check:
             raise FamilyError("thick", (tuple(sorted(f)), check.condition),
                               "family member is not a thick submodule")
-    if full not in members:
+    if p._ids not in members:
         raise FamilyError("full-module", (), "the full module M is not in the family")
-    ordered = sorted(members, key=lambda s: (len(s), sorted(s)))
-    for f1, f2 in combinations(ordered, 2):
+    for f1, f2 in combinations(sorted(members, key=_point_key), 2):
         if f1 & f2 not in members:
             raise FamilyError("intersection", (tuple(sorted(f1)), tuple(sorted(f2))),
                               "family not closed under intersection")
@@ -176,9 +170,10 @@ def from_family(p, family):
 def table_operator(p, table):
     """Finite-type operator from an explicit principal table.
 
-    ``table`` maps every object to a thick submodule containing it; raw
-    unions that fail thickness are replaced by their thick closure.
+    ``table`` maps each object id, and no other key, to a thick submodule
+    containing it; raw unions failing thickness become their thick closure.
     """
+    _checked(p, table)
     tab = []
     for m in range(p.n_objects):
         if m not in table:
@@ -239,6 +234,7 @@ def c_infinity(p, c):
     of SMod is a principal K(m), so c is extensive exactly when K(m) lies
     in c(K(m)), and SMod-valued exactly when c(K(m)) equals its thick
     closure, for every m.  The first failing condition names the error.
+    Iteration starts from the values c(K(m)) the gate computed.
     """
     values = [c.apply(N) for N in p.principals]
     if not all(N <= v for N, v in zip(p.principals, values)):
@@ -246,12 +242,9 @@ def c_infinity(p, c):
     if not all(_closure(p, v) == v for v in values):
         raise OperatorError("c-infinity requires SMod-valued")
     table = []
-    for N in p.principals:
-        while True:
-            nxt = c.apply(N)
-            if nxt == N:
-                break
-            N = nxt
+    for N, nxt in zip(p.principals, values):
+        while nxt != N:
+            N, nxt = nxt, c.apply(nxt)
         table.append(N)
     return OperatorSpec("c-infinity", p, tuple(table))
 

@@ -13,16 +13,12 @@ from ``validate``'s rules (see ``basis_properties``).
 from collections import namedtuple
 from itertools import combinations
 
-from .thick import _closure, all_submodules
+from .thick import _closure, _point_key, all_submodules
 
 
 # points: ordered, deduplicated frozensets of object ids; basis: object id
 # m -> frozenset of the indices of the points in U(m).
 SModSpace = namedtuple("SModSpace", "points basis")
-
-
-def _point_key(s):
-    return (len(s), sorted(s))
 
 
 def make_space(points, n_objects):

@@ -40,6 +40,11 @@ class Provenance(namedtuple("Provenance", "kind stage order data")):
 GenerationCertificate = namedtuple("GenerationCertificate", "seed records")
 
 
+def _point_key(s):
+    """Size, then sorted members: fixes every report's point indices."""
+    return (len(s), sorted(s))
+
+
 def _checked(p, X):
     """X as a frozenset, after checking that every id is a module object.
 
@@ -59,8 +64,9 @@ def is_thick(p, s):
     s = _checked(p, s)
     if p.zero not in s:
         return ThickCheck(False, "zero", (p.zero,))
+    members = sorted(s)
     for a in range(p.base.n_objects):
-        for m in sorted(s):
+        for m in members:
             if p.action[a][m] not in s:
                 return ThickCheck(False, "action", (a, m, p.action[a][m]))
     for m in range(p.n_objects):
@@ -201,4 +207,4 @@ def all_submodules(p):
     of its members (summand biconditional plus finiteness); cross-checked
     against brute-force subset filtering in the tests.
     """
-    return tuple(sorted(set(p.principals), key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted(set(p.principals), key=_point_key))

@@ -21,6 +21,8 @@ from ttg.operators import classify
 from ttg.docio import (DocumentError, ModelInvalidError, dump_document, load,
                        load_document, model_digest, normalize_document, save)
 
+from conftest import graded_support_model
+
 
 def model_path(models_dir, name):
     return os.path.join(models_dir, name + ".json")
@@ -473,6 +475,27 @@ def test_cli_report_bytes_match_benchmark_golden(models_dir, tmp_path, job):
         assert main(argv) == golden["jobs"][job_id]["rc"]
     digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
     assert digest == golden["jobs"][job_id]["out_sha256"]
+
+
+# sha256 of ``ttg report --max-objects 64 --out`` on two 64-object models
+# built like CI's stress models; CI checks support_model(7) and (8) too.
+SCALE_REPORTS = {
+    "support6": (lambda: support_model(6, bound=6),
+                 "9246eb1c1cf448f94c9c8a760edf08a9e108db0d128a7a67702118fe3e050d5f"),
+    "graded3": (lambda: graded_support_model(3),
+                "9694c4fcdc7510cadd733a905767e46ccb5e82652c5dd0f2343c3569fff1c8c6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_REPORTS))
+def test_cli_report_bytes_at_64_objects(tmp_path, name):
+    build, sha256 = SCALE_REPORTS[name]
+    path = str(tmp_path / "model.json")
+    save(normalize_document({"category": {}}, build()), path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--max-objects", "64", "--model", path,
+                     "--out", str(tmp_path / "out.json")]) == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == sha256
 
 
 JSON_VALUES = st.recursive(

@@ -119,6 +119,10 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
         c.apply({bad})
     with pytest.raises(UnknownObjectError):
         add(support2, {bad}, full)
+    if bad != 1.0:  # as a dict key, 1.0 is the key 1
+        with pytest.raises(UnknownObjectError):
+            table_operator(support2, {**dict(enumerate(support2.principals)),
+                                      bad: full})
 
 
 def test_monoid_entry_points_reject_non_thick(support2):
@@ -199,9 +203,10 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
     assert monoid_report(identity_operator(graded2)).passed
 
 
-def test_op_table_matches_join_by_pair(operator_cases, glued, restrict2):
-    """Each cell read from the completion's principal table equals the
-    completed join of its pair of points."""
+def _gated_cases(operator_cases, glued, restrict2):
+    """Every gated operator case, plus identity and radical on glued (whose
+    principals need the triangle rule) and on three larger models, and
+    identity on two genuine modules."""
     cases = [c for c in operator_cases if classify(c.presentation, c).gate]
     assert len(cases) > 30
     cases += [identity_operator(glued), radical(glued),
@@ -209,9 +214,23 @@ def test_op_table_matches_join_by_pair(operator_cases, glued, restrict2):
               identity_operator(restriction_module(3, 2))]
     for p in (support_model(5), chain_model(10), graded_support_model(3)):
         cases += [identity_operator(p), radical(p)]
-    for c in cases:
+    return cases
+
+
+def test_op_table_matches_join_by_pair(operator_cases, glued, restrict2):
+    """Each cell read from the completion's principal table equals the
+    completed join of its pair of points."""
+    for c in _gated_cases(operator_cases, glued, restrict2):
         rep = monoid_report(c)
         assert (rep.op_table, rep.identity) == op_table_by_join(c)
+
+
+def test_space_is_fixed_points_of_c(operator_cases, glued, restrict2):
+    """The space read from the completion's principal table is SMod^c: the
+    points of SMod that c fixes, in the same order."""
+    for c in _gated_cases(operator_cases, glued, restrict2):
+        space = fixed_points(enumerate_smod(c.presentation), c)
+        assert monoid_report(c).space == space
 
 
 def test_continuous_flag_matches_joint_continuity_oracle(

@@ -206,15 +206,16 @@ def test_c_infinity_requires_gate(support2):
         tuple(frozenset({0}) for _ in range(support2.n_objects)))
     with pytest.raises(OperatorError):
         c_infinity(support2, bad)
-    with pytest.raises(MonoidError, match="does not pass the extensive/"
-                       "order-preserving/finite-type gate"):
+    with pytest.raises(MonoidError, match="^operator does not pass the gate: "
+                       "c-infinity requires extensive$"):
         monoid_report(bad)
 
 
 def test_c_infinity_gate_matches_classify(operator_cases):
     """c_infinity decides its gate on the principal table alone; it raises
     exactly where classify's gate is False, naming the first failing
-    condition: extensive, then SMod-valued."""
+    condition: extensive, then SMod-valued.  monoid_report passes that
+    name on."""
     gated = 0
     for c in operator_cases:
         p = c.presentation
@@ -227,6 +228,10 @@ def test_c_infinity_gate_matches_classify(operator_cases):
                 c_infinity(p, c)
             condition = "extensive" if not cls.extensive else "SMod-valued"
             assert str(err.value) == "c-infinity requires " + condition
+            with pytest.raises(MonoidError) as err:
+                monoid_report(c)
+            assert str(err.value) == ("operator does not pass the gate: "
+                                      "c-infinity requires " + condition)
     assert 0 < gated < len(operator_cases)
 
 
@@ -242,8 +247,8 @@ def test_gate_rejects_operator_leaving_smod(support2):
     assert ("smod_valued", (z,)) in cls.witnesses
     with pytest.raises(OperatorError, match="^c-infinity requires SMod-valued$"):
         c_infinity(support2, c)
-    with pytest.raises(MonoidError, match="does not pass the extensive/"
-                       "order-preserving/finite-type gate"):
+    with pytest.raises(MonoidError, match="^operator does not pass the gate: "
+                       "c-infinity requires SMod-valued$"):
         monoid_report(c)
     space = fixed_points(enumerate_smod(support2), c)
     table = [[monoid_op_by_definition(c, N, N2) for N2 in space.points]
