@@ -50,6 +50,9 @@ class CategoryPresentation(namedtuple(
         return len(self.names)
 
 
+MaskTable = namedtuple("MaskTable", "orbit act parts pair")
+
+
 class ModulePresentation(namedtuple(
         "ModulePresentation",
         "base names zero sum translate triangles action")):
@@ -104,23 +107,25 @@ class ModulePresentation(namedtuple(
                      for t in sorted(self.triangles) for k in range(3))
 
     @cached_property
-    def principals(self):
-        """K(m), the principal thick submodule, for every object m.
+    def masks(self):
+        """The closure rules as ``int`` bitmask rows, a set of objects being
+        the mask with bit x set for each member x:
 
-        The least set holding m and zero and closed under the two rules of
-        ``thick.generate``: every summand of a * y for y inside (the orbit
-        of y), and the third entry of a stored triangle whose other two
-        entries are inside.  Sets of objects are int bitmasks.  ``orbit[y]``
-        is the mask of y's orbit, and ``pair[y][x]`` the mask of the third
-        entries of the stored triangles holding x and y in two positions,
-        in either order.  A worklist applies each rule once per new member
-        y, to its orbit and to ``pair[y][x]`` for every x already inside,
-        y included, so no certificate is kept.
+        - ``orbit[y]``: the summands of every a * y, the bar rule of
+          ``thick.generate``;
+        - ``act[m]``: every a * m;
+        - ``parts[x]``: both terms of every sum equal to x;
+        - ``pair[y][x]``: the third entries of the stored triangles that
+          hold x and y in two positions, in either order, the delta rule,
+          filled by one pass over the triangles.
         """
         n = self.n_objects
         summand = [sum(1 << s for s, _ in pairs) for pairs in self.decompositions]
-        orbit = [reduce(or_, map(summand.__getitem__, column))
-                 for column in zip(*self.action)]
+        columns = list(zip(*self.action))
+        parts = summand[:]  # the first terms; add the second ones
+        for m2, column in enumerate(zip(*self.sum)):
+            for x in set(column):
+                parts[x] |= 1 << m2
         pair = [[0] * n for _ in range(n)]
         for a, b, c in self.triangles:
             pair[b][c] |= 1 << a
@@ -129,8 +134,27 @@ class ModulePresentation(namedtuple(
             pair[a][c] |= 1 << b
             pair[a][b] |= 1 << c
             pair[b][a] |= 1 << c
+        return MaskTable(
+            orbit=tuple(reduce(or_, map(summand.__getitem__, column))
+                        for column in columns),
+            act=tuple(sum(map((1).__lshift__, set(column))) for column in columns),
+            parts=tuple(parts),
+            pair=tuple(map(tuple, pair)))
+
+    @cached_property
+    def principals(self):
+        """K(m), the principal thick submodule, for every object m.
+
+        The least set holding m and zero and closed under the two rules of
+        ``thick.generate``, read from ``masks``: the orbit of y for y
+        inside, and the third entry of a stored triangle whose other two
+        entries are inside.  A worklist applies each rule once per new
+        member y, to ``orbit[y]`` and to ``pair[y][x]`` for every x already
+        inside, y included, so no certificate is kept.
+        """
+        orbit, pair = self.masks.orbit, self.masks.pair
         table = []
-        for m in range(n):
+        for m in range(self.n_objects):
             inside, members = 0, []
             todo = 1 << m | 1 << self.zero
             while todo:

@@ -7,6 +7,9 @@ certificate from which finite witness sets are extracted.
 """
 
 from collections import namedtuple
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 
 
 class GenerationError(Exception):
@@ -60,10 +63,34 @@ def _checked(p, X):
 
 
 def is_thick(p, s):
-    """Decide the four thick-submodule conditions, with a violation witness."""
+    """Decide the five thick-submodule conditions, with a violation witness.
+
+    The decision reads the model's mask rows (``p.masks``) in |s|^2 steps:
+    s is thick exactly when it holds zero and, for every m and x in s,
+    ``act[m]`` (the action), ``parts[m]`` (the summands), ``pair[m][x]``
+    (the triangles) and m + x (the sums) lie inside s.  A set that fails is
+    scanned in the order zero, action, summand, triangle, sum, for the
+    first violated condition and its witness; the scan reads the triangles
+    in ``p.triangle_positions`` order.
+
+    The test ``_closure(p, s) == s`` is not used: it is sound only where
+    the sum axioms and split triangles that ``validate`` checks hold, and
+    on a presentation that fails ``validate`` it can call a set thick that
+    is not closed under sums.  The masks check the conditions themselves,
+    so the decision is exact on every presentation.
+    """
     s = _checked(p, s)
     if p.zero not in s:
         return ThickCheck(False, "zero", (p.zero,))
+    act, parts, pair = p.masks.act, p.masks.parts, p.masks.pair
+    reached = 0
+    for m in s:
+        if not s.issuperset(map(p.sum[m].__getitem__, s)):
+            break
+        reached |= act[m] | parts[m] | reduce(or_, map(pair[m].__getitem__, s))
+    else:
+        if not reached & ~sum(1 << m for m in s):
+            return ThickCheck(True)
     members = sorted(s)
     for a in range(p.base.n_objects):
         for m in members:
@@ -103,16 +130,21 @@ def _delta_steps(p, X):
             yield n, (t, pred1, pred2)
 
 
+def _members(mask):
+    """The set of objects whose bits are set in ``mask``."""
+    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+
+
 def bar(p, X):
     """Summands of all a * m with m in X: one application of the closure step."""
-    X = _checked(p, X)
-    return frozenset(n for n, _ in _bar_steps(p, X))
+    orbit = p.masks.orbit
+    return _members(reduce(or_, map(orbit.__getitem__, _checked(p, X)), 0))
 
 
 def delta(p, X):
     """Objects completing a stored triangle whose other two entries lie in X."""
-    X = _checked(p, X)
-    return frozenset(n for n, _ in _delta_steps(p, X))
+    X, pair = _checked(p, X), p.masks.pair
+    return _members(reduce(or_, (pair[x][y] for x in X for y in X), 0))
 
 
 def generate(p, X):

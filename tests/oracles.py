@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is written directly from the defining conditions, without
-going through the library's checkers or fixpoint machinery.  Four
+going through the library's checkers or fixpoint machinery.  Five
 exceptions: ``monoid_op_by_definition`` joins with ``generate``, the
 certificate-recording fixpoint that the library's join does not use and
 that the tests check against ``minimal_thick_superset``;
 ``classify_by_definition`` ranges over ``all_submodules`` and the principal
 table, which the tests check against ``brute_thick_sets``;
-``principals_by_worklist``, the principal table's earlier builder, reads
-the model's summand table and triangle positions; and ``op_table_by_join``,
+``principals_by_worklist``, the principal table's earlier builder, and
+``generate_by_scan``, the fixpoint rescanning every step on each stage,
+whose certificates ``generate`` must keep record for record, read the
+model's summand table and triangle positions; and ``op_table_by_join``,
 the monoid table's earlier builder, joins with ``add`` and completes with
 ``c.completion``.
 """
@@ -17,6 +19,7 @@ from itertools import combinations, combinations_with_replacement
 
 from ttg import add, all_submodules, enumerate_smod, fixed_points, generate
 from ttg.presentation import StructuralError
+from ttg.thick import GenerationCertificate, Provenance, _checked
 
 
 def thick_by_definition(p, s):
@@ -105,6 +108,54 @@ def principals_by_worklist(p):
                 todo.extend(thirds.get((y, x), ()))
         table.append(frozenset(inside))
     return tuple(table)
+
+
+def _bar_steps(p, X):
+    """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in X.
+
+    Walks m in increasing order, then a, then n; the cofactor is the least
+    n2 with n + n2 = a * m, read from ``p.decompositions``.
+    """
+    for m in sorted(X):
+        for a in range(p.base.n_objects):
+            for n, cofactor in p.decompositions[p.action[a][m]]:
+                yield n, (a, m, cofactor)
+
+
+def _delta_steps(p, X):
+    """Yield (n, (t, pred1, pred2)) for each triangle position whose other
+    two entries lie in X, triangles in sorted order."""
+    for t, n, pred1, pred2 in p.triangle_positions:
+        if pred1 in X and pred2 in X:
+            yield n, (t, pred1, pred2)
+
+
+def generate_by_scan(p, X):
+    """Smallest thick submodule containing X, with a provenance certificate.
+
+    Iterates X_{i+1} = delta(bar(X_i)) from X_0 = X united with {zero}; the
+    zero seed makes delta monotone from stage 0.  Each stage runs the bar
+    steps over X_i, then the delta steps over the members after the bar
+    pass, recording the first step that reaches each new object.
+    Stabilizes within |objects| iterations since membership only grows.
+    """
+    X = _checked(p, X)
+    records = {}  # insertion order is discovery order
+    for m in sorted(X | {p.zero}):
+        records[m] = Provenance("seed", 0, len(records), ())
+    stage = 0
+    while True:
+        stage += 1
+        before = len(records)
+        for kind in ("bar", "delta"):
+            S = frozenset(records)
+            steps = _bar_steps(p, S) if kind == "bar" else _delta_steps(p, S)
+            for n, data in steps:
+                if n not in records:
+                    records[n] = Provenance(kind, stage, len(records), data)
+        if len(records) == before:
+            break
+    return frozenset(records), GenerationCertificate(seed=X, records=records)
 
 
 def summands_by_scan(p, x):

@@ -9,13 +9,15 @@ from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
                  generate, identity_operator, is_thick, monoid_report,
                  principal, self_module, summands, support_model,
                  validate, witnesses)
-from ttg.presentation import UnknownObjectError, rotation_closure
+from ttg.presentation import (UnknownObjectError, is_self_module,
+                              rotation_closure)
 from ttg.thick import GenerationError, _checked
 
-from conftest import graded_support_model
-from oracles import (all_subsets, brute_thick_sets, least_cofactor,
-                     minimal_thick_superset, principals_by_worklist,
-                     summands_by_scan, thick_check_by_scan)
+from conftest import graded_support_model, restriction_module
+from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
+                     least_cofactor, minimal_thick_superset,
+                     principals_by_worklist, summands_by_scan,
+                     thick_check_by_scan)
 
 
 def test_is_thick_examples(support2):
@@ -71,7 +73,45 @@ def _passes_scan_prefix(p, rng, count):
         yield frozenset(s)
 
 
-def test_is_thick_matches_scan(support2, support3, chain3, graded2, glued):
+def _edit_cell(table, bound, rng):
+    """``table`` with one seeded cell set to another id below ``bound``."""
+    rows = [list(row) for row in table]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] = rng.choice([v for v in range(bound) if v != rows[i][j]])
+    return tuple(map(tuple, rows))
+
+
+def _invalid_mutations(p, rng, count):
+    """``count`` seeded one-cell mutations of p that fail ``validate``, as
+    (kind, presentation).  K acting on itself gets a sum cell, a tensor
+    cell or a dropped triangle, a genuine module a module sum cell or an
+    action cell."""
+    cat, n = p.base, p.n_objects
+    if is_self_module(p):
+        edits = {
+            "sum": lambda: self_module(cat._replace(sum=_edit_cell(cat.sum, n, rng))),
+            "tensor": lambda: self_module(
+                cat._replace(tensor=_edit_cell(cat.tensor, n, rng))),
+            "triangle": lambda: self_module(cat._replace(
+                triangles=cat.triangles - {rng.choice(sorted(cat.triangles))})),
+        }
+    else:
+        edits = {
+            "sum": lambda: p._replace(sum=_edit_cell(p.sum, n, rng)),
+            "action": lambda: p._replace(action=_edit_cell(p.action, n, rng)),
+        }
+    kinds = sorted(edits)
+    found = []
+    while len(found) < count:
+        kind = kinds[len(found) % len(kinds)]
+        q = edits[kind]()
+        if not validate(q).ok:
+            found.append((kind, q))
+    return found
+
+
+def test_is_thick_matches_scan(support2, support3, chain3, graded2, glued,
+                               restrict2):
     def agree(p, s):
         check = is_thick(p, s)
         assert (check.ok, check.condition, check.witness) == \
@@ -85,6 +125,18 @@ def test_is_thick_matches_scan(support2, support3, chain3, graded2, glued):
     conditions = {agree(p, s) for p in (support_model(4), graded2)
                   for s in _passes_scan_prefix(p, rng, 300)}
     assert {"", "triangle"} <= conditions
+    # presentations that fail validate, where a set may pass every
+    # condition but one and the closure of the set need not be thick
+    rng = random.Random(18)
+    kinds, conditions = set(), set()
+    for p, count in ((support2, 60), (chain3, 60), (support3, 45),
+                     (restrict2, 20), (restriction_module(3, 2), 40)):
+        for kind, q in _invalid_mutations(p, rng, count):
+            kinds.add(kind)
+            for s in all_subsets(range(q.n_objects)):
+                conditions.add(agree(q, s))
+    assert kinds == {"sum", "tensor", "triangle", "action"}
+    assert conditions == {"", "zero", "action", "summand", "triangle", "sum"}
 
 
 def test_bar_examples(support2):
@@ -144,6 +196,28 @@ def test_generate_output_is_thick(support2, support3, chain3, graded2, glued):
             for seed in combinations(range(p.n_objects), size):
                 members, _ = generate(p, seed)
                 assert is_thick(p, members), (p.names, seed)
+
+
+def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
+                                      restrict2, downsets, split_probe,
+                                      glued, one_way):
+    # the whole certificate: kind, stage, order, data and insertion order
+    def agree(p, X):
+        members, cert = generate(p, X)
+        expected = generate_by_scan(p, X)
+        assert (members, cert.seed) == (expected[0], expected[1].seed)
+        assert list(cert.records.items()) == \
+            list(expected[1].records.items()), (p.names, sorted(X))
+
+    for p in (support2, support3, chain3, restrict2, split_probe, glued,
+              one_way, restriction_module(3, 2)):
+        for X in all_subsets(range(p.n_objects)):
+            agree(p, X)
+    rng = random.Random(17)
+    for p, count in ((downsets, 150), (graded2, 150), (support_model(5), 150),
+                     (chain_model(10), 150), (graded_support_model(3), 12)):
+        for _ in range(count):
+            agree(p, rng.sample(range(p.n_objects), rng.randint(0, 4)))
 
 
 def test_certificate_orders_strictly_increase(support2, support3, chain3):
@@ -320,6 +394,8 @@ def test_derived_tables_are_tuples(support3):
     assert isinstance(support3.triangle_positions, tuple)
     assert isinstance(support3.principals, tuple)
     assert all(isinstance(row, frozenset) for row in support3.principals)
+    assert all(isinstance(rows, tuple) for rows in support3.masks)
+    assert all(isinstance(row, tuple) for row in support3.masks.pair)
 
 
 class _Probe:
