@@ -98,13 +98,11 @@ class ModulePresentation(namedtuple(
         return tuple(map(tuple, table))
 
     @cached_property
-    def triangle_positions(self):
-        """(t, t[k], t[k+1], t[k+2]) for each position k of each stored
-        triangle t, indices mod 3, triangles in sorted order: the scan
-        order of ``thick.generate``'s certificates and ``thick.is_thick``'s
+    def sorted_triangles(self):
+        """The stored triangles in sorted order: the scan order of
+        ``thick.generate``'s certificates and ``thick.is_thick``'s
         witnesses."""
-        return tuple((t, t[k], t[(k + 1) % 3], t[(k + 2) % 3])
-                     for t in sorted(self.triangles) for k in range(3))
+        return tuple(sorted(self.triangles))
 
     @cached_property
     def masks(self):
@@ -117,7 +115,8 @@ class ModulePresentation(namedtuple(
         - ``parts[x]``: both terms of every sum equal to x;
         - ``pair[y][x]``: the third entries of the stored triangles that
           hold x and y in two positions, in either order, the delta rule,
-          filled by one pass over the triangles.
+          filled by one pass over the triangles; so ``pair[y][x]`` equals
+          ``pair[x][y]``.
         """
         n = self.n_objects
         summand = [sum(1 << s for s, _ in pairs) for pairs in self.decompositions]

@@ -8,7 +8,7 @@ certificate from which finite witness sets are extracted.
 
 from collections import namedtuple
 from functools import reduce
-from itertools import compress, count
+from itertools import combinations_with_replacement, compress, count
 from operator import or_
 
 
@@ -29,7 +29,10 @@ class Provenance(namedtuple("Provenance", "kind stage order data")):
 
     kind "seed": stage-0 member.
     kind "bar": data = (a, m, cofactor) with self + cofactor = a * m, m earlier.
-    kind "delta": data = (triangle, pred1, pred2), both predecessors earlier.
+    kind "delta": data = (triangle, pred1, pred2), both predecessors earlier;
+    (self, pred1, pred2) is the first rotation, in ``_delta_steps`` order,
+    with pred1 and pred2 among the members when its stage's delta pass
+    began and self not.
 
     ``stage`` is the fixpoint iteration at which the object became a member;
     ``order`` is a global discovery counter, strictly increasing along
@@ -68,10 +71,13 @@ def is_thick(p, s):
     The decision reads the model's mask rows (``p.masks``) in |s|^2 steps:
     s is thick exactly when it holds zero and, for every m and x in s,
     ``act[m]`` (the action), ``parts[m]`` (the summands), ``pair[m][x]``
-    (the triangles) and m + x (the sums) lie inside s.  A set that fails is
-    scanned in the order zero, action, summand, triangle, sum, for the
-    first violated condition and its witness; the scan reads the triangles
-    in ``p.triangle_positions`` order.
+    (the triangles) and m + x (the sums) lie inside s.  ``pair`` is
+    symmetric, so it is read once per unordered pair {m, x}; the sum table
+    is read in both orders, since it need not be commutative on a
+    presentation that fails ``validate``.  A set that fails is scanned in
+    the order zero, action, summand, triangle, sum, for the first violated
+    condition and its witness; the triangle witness is the first step of
+    ``_delta_steps`` whose object lies outside s, with its triangle.
 
     The test ``_closure(p, s) == s`` is not used: it is sound only where
     the sum axioms and split triangles that ``validate`` checks hold, and
@@ -83,15 +89,16 @@ def is_thick(p, s):
     if p.zero not in s:
         return ThickCheck(False, "zero", (p.zero,))
     act, parts, pair = p.masks.act, p.masks.parts, p.masks.pair
+    members = sorted(s)
     reached = 0
-    for m in s:
-        if not s.issuperset(map(p.sum[m].__getitem__, s)):
+    for i, m in enumerate(members):
+        if not s.issuperset(map(p.sum[m].__getitem__, members)):
             break
-        reached |= act[m] | parts[m] | reduce(or_, map(pair[m].__getitem__, s))
+        reached |= (act[m] | parts[m]
+                    | reduce(or_, map(pair[m].__getitem__, members[i:])))
     else:
         if not reached & ~sum(1 << m for m in s):
             return ThickCheck(True)
-    members = sorted(s)
     for a in range(p.base.n_objects):
         for m in members:
             if p.action[a][m] not in s:
@@ -100,8 +107,8 @@ def is_thick(p, s):
         for m2 in range(p.n_objects):
             if p.sum[m][m2] in s and not (m in s and m2 in s):
                 return ThickCheck(False, "summand", (m, m2, p.sum[m][m2]))
-    for t, n, pred1, pred2 in p.triangle_positions:
-        if pred1 in s and pred2 in s and n not in s:
+    for n, (t, _, _) in _delta_steps(p, s):
+        if n not in s:
             return ThickCheck(False, "triangle", (t, n))
     for m in range(p.n_objects):
         for m2 in range(p.n_objects):
@@ -123,11 +130,22 @@ def _bar_steps(p, X):
 
 
 def _delta_steps(p, X):
-    """Yield (n, (t, pred1, pred2)) for each triangle position whose other
-    two entries lie in X, triangles in sorted order."""
-    for t, n, pred1, pred2 in p.triangle_positions:
-        if pred1 in X and pred2 in X:
-            yield n, (t, pred1, pred2)
+    """Yield (n, (t, pred1, pred2)) for each rotation (n, pred1, pred2) of
+    a stored triangle t with pred1 and pred2 in X.
+
+    The triangles are read once each, in sorted order, and the rotations
+    of t = (a, b, c) are tested in the order (a, b, c), (b, c, a),
+    (c, a, b): the order of the certificates of ``generate`` and the
+    witnesses of ``is_thick``.
+    """
+    for t in p.sorted_triangles:
+        a, b, c = t
+        if b in X and c in X:
+            yield a, (t, b, c)
+        if c in X and a in X:
+            yield b, (t, c, a)
+        if a in X and b in X:
+            yield c, (t, a, b)
 
 
 def _members(mask):
@@ -144,7 +162,8 @@ def bar(p, X):
 def delta(p, X):
     """Objects completing a stored triangle whose other two entries lie in X."""
     X, pair = _checked(p, X), p.masks.pair
-    return _members(reduce(or_, (pair[x][y] for x in X for y in X), 0))
+    return _members(reduce(or_, (pair[x][y] for x, y in
+                                 combinations_with_replacement(X, 2)), 0))
 
 
 def generate(p, X):

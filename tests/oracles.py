@@ -10,9 +10,9 @@ table, which the tests check against ``brute_thick_sets``;
 ``principals_by_worklist``, the principal table's earlier builder, and
 ``generate_by_scan``, the fixpoint rescanning every step on each stage,
 whose certificates ``generate`` must keep record for record, read the
-model's summand table and triangle positions; and ``op_table_by_join``,
-the monoid table's earlier builder, joins with ``add`` and completes with
-``c.completion``.
+model's summand table and list the triangle positions themselves; and
+``op_table_by_join``, the monoid table's earlier builder, joins with
+``add`` and completes with ``c.completion``.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -83,6 +83,14 @@ def minimal_thick_superset(p, X):
     return frozenset.intersection(*supersets)
 
 
+def triangle_positions(p):
+    """(t, t[k], t[k+1], t[k+2]) for each position k of each stored
+    triangle t, indices mod 3, triangles in sorted order: the scan order
+    of ``generate``'s certificates, one step per position."""
+    return [(t, t[k], t[(k + 1) % 3], t[(k + 2) % 3])
+            for t in sorted(p.triangles) for k in range(3)]
+
+
 def principals_by_worklist(p):
     """The principal table by a frozenset worklist over the triangle
     positions: per object m, from {m, 0}, each new member y adds its orbit
@@ -91,7 +99,7 @@ def principals_by_worklist(p):
                        for n, _ in p.decompositions[p.action[a][y]])
              for y in range(p.n_objects)]
     thirds = {}  # (pred1, pred2) -> objects completing a stored triangle
-    for _, n, pred1, pred2 in p.triangle_positions:
+    for _, n, pred1, pred2 in triangle_positions(p):
         thirds.setdefault((pred1, pred2), set()).add(n)
     table = []
     for m in range(p.n_objects):
@@ -122,10 +130,10 @@ def _bar_steps(p, X):
                 yield n, (a, m, cofactor)
 
 
-def _delta_steps(p, X):
+def _delta_steps(positions, X):
     """Yield (n, (t, pred1, pred2)) for each triangle position whose other
-    two entries lie in X, triangles in sorted order."""
-    for t, n, pred1, pred2 in p.triangle_positions:
+    two entries lie in X, in the order of ``positions``."""
+    for t, n, pred1, pred2 in positions:
         if pred1 in X and pred2 in X:
             yield n, (t, pred1, pred2)
 
@@ -140,6 +148,7 @@ def generate_by_scan(p, X):
     Stabilizes within |objects| iterations since membership only grows.
     """
     X = _checked(p, X)
+    positions = triangle_positions(p)
     records = {}  # insertion order is discovery order
     for m in sorted(X | {p.zero}):
         records[m] = Provenance("seed", 0, len(records), ())
@@ -149,7 +158,8 @@ def generate_by_scan(p, X):
         before = len(records)
         for kind in ("bar", "delta"):
             S = frozenset(records)
-            steps = _bar_steps(p, S) if kind == "bar" else _delta_steps(p, S)
+            steps = (_bar_steps(p, S) if kind == "bar"
+                     else _delta_steps(positions, S))
             for n, data in steps:
                 if n not in records:
                     records[n] = Provenance(kind, stage, len(records), data)

@@ -21,7 +21,7 @@ from ttg.operators import classify
 from ttg.docio import (DocumentError, ModelInvalidError, dump_document, load,
                        load_document, model_digest, normalize_document, save)
 
-from conftest import graded_support_model
+from conftest import graded_support_model, restriction_module
 
 
 def model_path(models_dir, name):
@@ -234,7 +234,8 @@ _LAST_TRIANGLE = {
 
 
 def _malformed(case, doc):
-    """``doc`` edited so that loading it reads one ill-shaped value."""
+    """``doc`` edited so that loading it reads one ill-shaped value or
+    meets one loader or operator error."""
     cat, ops = doc["category"], doc.get("operators")
     if case in _LAST_TRIANGLE:
         cat["triangles"][-1] = _LAST_TRIANGLE[case][0]
@@ -268,10 +269,44 @@ def _malformed(case, doc):
         ops["bad"] = {"kind": ["table"]}
     elif case == "radical-with-number-table":
         ops["bad"] = {"kind": "radical", "table": 5}
+    elif case == "number-object-name":
+        cat["objects"][1] = 5
+    elif case == "duplicate-object-name":
+        cat["objects"][1] = cat["objects"][0]
+    elif case == "no-category-section":
+        del doc["category"]
+    elif case == "operator-named-identity":
+        ops["identity"] = {"kind": "identity"}
+    elif case == "division-not-multiplicatively-closed":
+        ops["bad"] = {"kind": "division", "s": ["a", "b"]}
+    elif case == "table-value-not-thick":
+        ops["bad"] = {"kind": "table", "table": {"z": ["z", "a", "b"]}}
+    elif case == "division-in-module":
+        doc = normalize_document({"category": {}, "module": {}},
+                                 restriction_module(2, 1))
+        doc["operators"] = {"bad": {"kind": "division", "s": ["z"]}}
+    elif case == "over-max-objects":
+        pass  # support2 as it is, loaded with --max-objects 3
     else:
         return {"top-level-number": 5, "top-level-null": None}[case]
     return doc
 
+
+# The error line of each loader or operator error path, on the document
+# ``_malformed`` makes: support2 edited, a restrict2 module document for
+# "division-in-module", and support2 itself, loaded with --max-objects 3,
+# for "over-max-objects".
+_ERROR_LINES = {
+    "number-object-name": "category object names must be strings",
+    "duplicate-object-name": "duplicate object names in category",
+    "over-max-objects": "category has 4 objects, over the limit 3",
+    "no-category-section": "document has no 'category' section",
+    "operator-named-identity": "operator name 'identity' is reserved",
+    "division-not-multiplicatively-closed":
+        "operator 'bad': S is not multiplicatively closed: a tensor b escapes",
+    "table-value-not-thick": "operator 'bad': table value at z is not thick (triangle)",
+    "division-in-module": "operator 'bad': division requires K acting on itself",
+}
 
 # Files that are not a JSON document json.load can return.
 _UNREADABLE = {"not-utf8": b"\xff\xfe{}", "nested-past-recursion-limit": b"[" * 5000}
@@ -284,7 +319,7 @@ _UNREADABLE = {"not-utf8": b"\xff\xfe{}", "nested-past-recursion-limit": b"[" * 
     "table-operator-with-list-table", "number-triangle", "number-sum-row",
     "list-zero", "number-division-s", "list-operator-kind",
     "radical-with-number-table", "not-utf8", "nested-past-recursion-limit",
-    *_LAST_TRIANGLE])
+    *_LAST_TRIANGLE, *_ERROR_LINES])
 def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
     path = tmp_path / "malformed.json"
     if case in _UNREADABLE:
@@ -293,11 +328,22 @@ def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
         model = "support3" if case in _LAST_TRIANGLE else "support2"
         with open(model_path(models_dir, model)) as fh:
             path.write_text(json.dumps(_malformed(case, json.load(fh))))
-    assert main(["validate", "--model", str(path)]) == 2
+    limit = ["--max-objects", "3"] if case == "over-max-objects" else []
+    assert main(["validate", "--model", str(path), *limit]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if case in _LAST_TRIANGLE:
         assert err == "error: %s\n" % _LAST_TRIANGLE[case][1]
+    if case in _ERROR_LINES:
+        assert err == "error: %s\n" % _ERROR_LINES[case]
+
+
+def test_load_identity_kind_under_another_name(models_dir):
+    with open(model_path(models_dir, "support2")) as fh:
+        doc = json.load(fh)
+    doc["operators"]["same"] = {"kind": "identity"}
+    p, operators = load_document(doc)
+    assert operators["same"] == ttg.operators.identity_operator(p)
 
 
 def test_cli_generate(models_dir, capsys):
@@ -347,6 +393,22 @@ def test_cli_ultrafilter(models_dir, tmp_path):
     for point in data["points"]:
         assert all(point[k] is True for k in
                    ("thick", "fixed", "equals_point", "biconditional"))
+
+
+def test_cli_gate_error_exits_1(glued, tmp_path, capsys):
+    """Division by {a} on glued maps the point {z} to {z, b}, which is not
+    thick, so monoid stops at the gate of c-infinity; spectral still reads
+    the one fixed point, the whole module."""
+    doc = normalize_document({"category": {}}, glued)
+    doc["operators"] = {"div_a": {"kind": "division", "s": ["a"]}}
+    path = str(tmp_path / "glued.json")
+    save(doc, path)
+    assert main(["monoid", "--model", path, "--operator", "div_a"]) == 1
+    assert capsys.readouterr().err == (
+        "check error: operator does not pass the gate: "
+        "c-infinity requires SMod-valued\n")
+    assert main(["spectral", "--model", path, "--operator", "div_a"]) == 0
+    assert capsys.readouterr().out.startswith("fixed-point space: 1 points\n")
 
 
 def test_cli_unknown_operator(models_dir):

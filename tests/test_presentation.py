@@ -329,6 +329,10 @@ def test_malformed_table_is_structural(support2):
     cat = support2.base._replace(sum=support2.sum[:-1])
     with pytest.raises(StructuralError):
         validate(self_module(cat))
+    short_row = (support2.sum[0], support2.sum[1][:-1], *support2.sum[2:])
+    with pytest.raises(StructuralError) as raised:
+        validate(self_module(support2.base._replace(sum=short_row)))
+    assert str(raised.value) == "category sum table row 1 has 3 entries, expected 4"
 
 
 def test_summands_support2(support2):

@@ -209,13 +209,20 @@ def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
         assert list(cert.records.items()) == \
             list(expected[1].records.items()), (p.names, sorted(X))
 
+    # support2 storing only (t, a, b), not closed under rotation: t joins
+    # {a, b} by the first rotation of its triangle, with two distinct
+    # predecessors, which no rotation-closed model here gives
+    z, a, b, t = range(4)
+    head_first = support2._replace(triangles=frozenset({(t, a, b)}))
     for p in (support2, support3, chain3, restrict2, split_probe, glued,
-              one_way, restriction_module(3, 2)):
+              one_way, restriction_module(3, 2), head_first):
         for X in all_subsets(range(p.n_objects)):
             agree(p, X)
     rng = random.Random(17)
+    # support_model(6): 64 objects and 10165 triangles, a long sorted scan
     for p, count in ((downsets, 150), (graded2, 150), (support_model(5), 150),
-                     (chain_model(10), 150), (graded_support_model(3), 12)):
+                     (chain_model(10), 150), (graded_support_model(3), 12),
+                     (support_model(6, bound=6), 20)):
         for _ in range(count):
             agree(p, rng.sample(range(p.n_objects), rng.randint(0, 4)))
 
@@ -391,7 +398,7 @@ def test_principal_table_matches_worklist_off_validate(support3):
 def test_derived_tables_are_tuples(support3):
     assert isinstance(support3.decompositions, tuple)
     assert all(isinstance(row, tuple) for row in support3.decompositions)
-    assert isinstance(support3.triangle_positions, tuple)
+    assert isinstance(support3.sorted_triangles, tuple)
     assert isinstance(support3.principals, tuple)
     assert all(isinstance(row, frozenset) for row in support3.principals)
     assert all(isinstance(rows, tuple) for rows in support3.masks)
