@@ -9,7 +9,7 @@ from .operators import (FamilySpec, OperatorSpec, c_infinity, classify,
                         division, from_family, identity_operator, radical,
                         table_operator, validate_family)
 from .space import (SModSpace, basis_properties, enumerate_smod, fixed_points,
-                    spectral_report, ultrafilter_check)
+                    fixed_space, spectral_report, ultrafilter_check)
 from .monoid import identity_element, monoid_op, monoid_report
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "from_family", "identity_operator", "radical", "table_operator",
     "validate_family",
     "SModSpace", "basis_properties", "enumerate_smod", "fixed_points",
-    "spectral_report", "ultrafilter_check",
+    "fixed_space", "spectral_report", "ultrafilter_check",
     "identity_element", "monoid_op", "monoid_report",
 ]
 

@@ -18,7 +18,7 @@ from .docio import (DocumentError, ModelInvalidError, model_digest, monoid_dot,
 from .monoid import MonoidError, monoid_report
 from .operators import OperatorError, classify, identity_operator
 from .presentation import MAX_OBJECTS_DEFAULT, PresentationError
-from .space import (basis_properties, enumerate_smod, fixed_points,
+from .space import (basis_properties, enumerate_smod, fixed_space,
                     spectral_report, ultrafilter_check)
 from .thick import GenerationError, generate, witnesses
 
@@ -115,7 +115,7 @@ def cmd_operators(args, p, operators):
 
 def cmd_spectral(args, p, operators):
     c = _operator(p, operators, args.operator)
-    space = fixed_points(enumerate_smod(p), c)
+    space = fixed_space(c)
     rep = spectral_report(space)
     _write_dot(args, lambda: specialization_dot(p, space))
     return ({"operator": args.operator, "points": len(space.points),
@@ -129,7 +129,7 @@ def cmd_spectral(args, p, operators):
 
 def cmd_ultrafilter(args, p, operators):
     c = _operator(p, operators, args.operator)
-    rep = ultrafilter_check(fixed_points(enumerate_smod(p), c), c)
+    rep = ultrafilter_check(fixed_space(c), c)
     points = [{"point": r.point, "thick": r.thick, "fixed": r.fixed,
                "equals_point": r.equals_point, "biconditional": r.biconditional}
               for r in rep.results]

@@ -7,15 +7,15 @@ operator on SMod: its value at a point N is the least fixed point of c
 that contains N.  The fixed points then form a finite lattice whose join
 is the operation, so the monoid axioms and continuity are theorems, and
 ``monoid_report`` derives them instead of checking them (Davey & Priestley,
-Introduction to Lattices and Order, 2002, ch. 7).  The points and each join
-are read from the completion's principal table; the tests keep the
-brute-force forms.
+Introduction to Lattices and Order, 2002, ch. 7).  The points are SMod^c,
+each join is read from the completion's principal table, and the tests
+keep the brute-force forms.
 """
 
 from collections import namedtuple
 
 from .operators import OperatorError
-from .space import make_space
+from .space import fixed_space
 from .thick import _checked, _closure, _generator
 
 
@@ -76,8 +76,8 @@ def monoid_report(c):
     h is one of the n.  Cell (i, j) is therefore ``table[g_i + g_j]``, one
     lookup, and the identity is ``table[0]``.
 
-    The space is read from the same table: its points are the fixed points
-    of c, SMod^c, exactly the values of ``table``.  Past the gate each
+    The space is SMod^c (``space.fixed_space``), and its points are exactly
+    the values of ``table``, so each cell has an index.  Past the gate each
     ``table[h]`` is the iterate of c from K(h) where c stops, so it is a
     fixed point, and a point because c is SMod-valued.  A fixed point N is
     K(g_N), and iterating c from N stops at once, so N = ``table[g_N]``.
@@ -113,7 +113,7 @@ def monoid_report(c):
         table = c.completion.principal_table
     except OperatorError as exc:
         raise MonoidError("operator does not pass the gate: %s" % exc) from None
-    space = make_space(table, p.n_objects)
+    space = fixed_space(c)
     index = {pt: i for i, pt in enumerate(space.points)}
     gens = [_generator(p, pt) for pt in space.points]
     op_table = tuple(tuple(index[table[row[h]]] for h in gens)

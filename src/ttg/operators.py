@@ -33,8 +33,8 @@ class OperatorSpec(namedtuple("OperatorSpec",
     ``principal_table`` maps each object id to a frozenset of member ids.
     ``apply`` takes and returns member frozensets.  For table-defined
     operators the raw union of principals may fail thickness; those carry
-    repair=True and return its thick closure.  ``completion`` is kept in
-    the instance ``__dict__``.
+    repair=True and return its thick closure.  ``point_values`` and
+    ``completion`` are computed once and kept in the instance ``__dict__``.
     """
 
     def __setattr__(self, name, value):
@@ -45,6 +45,11 @@ class OperatorSpec(namedtuple("OperatorSpec",
         result = frozenset().union(*(self.principal_table[n]
                                      for n in _checked(p, N)))
         return _closure(p, result) if self.repair else result
+
+    @cached_property
+    def point_values(self):
+        """c at every point of SMod, in point order, applied once."""
+        return {N: self.apply(N) for N in all_submodules(self.presentation)}
 
     @cached_property
     def completion(self):
@@ -194,19 +199,18 @@ def classify(p, c):
     """Decide the four operator properties over SMod(M), and whether c maps
     SMod into SMod.
 
-    Extensivity, idempotence and SMod-valuedness are checked point by
-    point, the last as ``_closure(p, c(N)) == c(N)``; the other two hold by
-    construction.  ``apply(N)`` is a union over the members of N,
-    and the repair K(sum of X) of a union X grows with X too, since the sum
-    of A is a summand of the sum of B when A lies in B: so c preserves
-    order.  Each point N is K(m) for some m in N, so c(N) is one term of
-    the union of c(K(n)) over n in N, and every other term lies in c(N)
-    because K(n) lies in N: so c has finite type.
+    Extensivity, idempotence and SMod-valuedness are checked on each c(N)
+    in ``c.point_values``, the last as ``_closure(p, c(N)) == c(N)``; the
+    other two hold by construction.  ``apply(N)`` is a union over the
+    members of N, and the repair K(sum of X) of a union X grows with X too,
+    since the sum of A is a summand of the sum of B when A lies in B: so c
+    preserves order.  Each point N is K(m) for some m in N, so c(N) is one
+    term of the union of c(K(n)) over n in N, and every other term lies in
+    c(N) because K(n) lies in N: so c has finite type.
     """
     witnesses = []
     extensive = idempotent = smod_valued = True
-    for N in all_submodules(p):
-        value = c.apply(N)
+    for N, value in c.point_values.items():
         if extensive and not N <= value:
             extensive = False
             witnesses.append(("extensive", tuple(sorted(N))))
@@ -229,22 +233,20 @@ def c_infinity(p, c):
     evaluation by union of principals agrees with direct iteration
     (checked in the tests).
 
-    That gate is decided without ``classify``: order preservation and
-    finite type hold by construction (see ``classify``), and every point
-    of SMod is a principal K(m), so c is extensive exactly when K(m) lies
-    in c(K(m)), and SMod-valued exactly when c(K(m)) equals its thick
-    closure, for every m.  The first failing condition names the error.
-    Iteration starts from the values c(K(m)) the gate computed.
+    The gate reads ``c.point_values``, not ``classify``: order preservation
+    and finite type hold by construction (see ``classify``), so c passes
+    exactly when N lies in c(N) and c(N) equals its thick closure at every
+    point N.  The first failing condition names the error.  Past the gate
+    every iterate is a point, so iterating is a walk through that table.
     """
-    values = [c.apply(N) for N in p.principals]
-    if not all(N <= v for N, v in zip(p.principals, values)):
+    values = c.point_values
+    if not all(N <= v for N, v in values.items()):
         raise OperatorError("c-infinity requires extensive")
-    if not all(_closure(p, v) == v for v in values):
+    if not all(_closure(p, v) == v for v in values.values()):
         raise OperatorError("c-infinity requires SMod-valued")
     table = []
-    for N, nxt in zip(p.principals, values):
-        while nxt != N:
-            N, nxt = nxt, c.apply(nxt)
+    for N in p.principals:
+        while values[N] != N:
+            N = values[N]
         table.append(N)
     return OperatorSpec("c-infinity", p, tuple(table))
-

@@ -39,6 +39,13 @@ def fixed_points(space, c):
                       len(space.basis))
 
 
+def fixed_space(c):
+    """SMod^c, the points of SMod that c fixes: the one decider, read from
+    ``c.point_values`` for every operator, gated or not."""
+    return make_space([N for N, v in c.point_values.items() if v == N],
+                      c.presentation.n_objects)
+
+
 SpectralReport = namedtuple(
     "SpectralReport",
     "t0 sober basis_quasi_compact basis_intersection_closed spectral "

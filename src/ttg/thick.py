@@ -8,7 +8,6 @@ certificate from which finite witness sets are extracted.
 
 from collections import namedtuple
 from functools import reduce
-from itertools import combinations_with_replacement, compress, count
 from operator import or_
 
 
@@ -148,22 +147,14 @@ def _delta_steps(p, X):
             yield c, (t, a, b)
 
 
-def _members(mask):
-    """The set of objects whose bits are set in ``mask``."""
-    return frozenset(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
-
-
 def bar(p, X):
-    """Summands of all a * m with m in X: one application of the closure step."""
-    orbit = p.masks.orbit
-    return _members(reduce(or_, map(orbit.__getitem__, _checked(p, X)), 0))
+    """Summands of all a * m with m in X: the targets of ``_bar_steps``."""
+    return frozenset(n for n, _ in _bar_steps(p, _checked(p, X)))
 
 
 def delta(p, X):
-    """Objects completing a stored triangle whose other two entries lie in X."""
-    X, pair = _checked(p, X), p.masks.pair
-    return _members(reduce(or_, (pair[x][y] for x, y in
-                                 combinations_with_replacement(X, 2)), 0))
+    """Third entries of triangles with two entries in X: ``_delta_steps``."""
+    return frozenset(n for n, _ in _delta_steps(p, _checked(p, X)))
 
 
 def generate(p, X):

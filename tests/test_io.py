@@ -249,6 +249,12 @@ def _malformed(case, doc):
         ops["bad"] = 5
     elif case == "short-translate":
         cat["translate"].pop()
+    elif case == "category-translate-not-a-bijection":
+        cat["translate"] = [cat["translate"][0]] * len(cat["translate"])
+    elif case == "module-translate-not-a-bijection":
+        doc = normalize_document({"category": {}, "module": {}},
+                                 restriction_module(2, 1))
+        doc["module"]["translate"] = ["z", "z"]
     elif case == "two-entry-triangle":
         cat["triangles"].append(["a", "b"])
     elif case == "module-is-a-list":
@@ -294,8 +300,8 @@ def _malformed(case, doc):
 
 # The error line of each loader or operator error path, on the document
 # ``_malformed`` makes: support2 edited, a restrict2 module document for
-# "division-in-module", and support2 itself, loaded with --max-objects 3,
-# for "over-max-objects".
+# "division-in-module" and "module-translate-not-a-bijection", and
+# support2 itself, loaded with --max-objects 3, for "over-max-objects".
 _ERROR_LINES = {
     "number-object-name": "category object names must be strings",
     "duplicate-object-name": "duplicate object names in category",
@@ -306,6 +312,8 @@ _ERROR_LINES = {
         "operator 'bad': S is not multiplicatively closed: a tensor b escapes",
     "table-value-not-thick": "operator 'bad': table value at z is not thick (triangle)",
     "division-in-module": "operator 'bad': division requires K acting on itself",
+    "category-translate-not-a-bijection": "category translate is not a bijection",
+    "module-translate-not-a-bijection": "module translate is not a bijection",
 }
 
 # Files that are not a JSON document json.load can return.
@@ -351,6 +359,17 @@ def test_cli_generate(models_dir, capsys):
                  "--seed", "a,b"]) == 0
     out = capsys.readouterr().out
     assert "t" in out and "stage 1" in out
+
+
+def test_cli_generate_without_seed_gives_zero(models_dir, tmp_path, capsys):
+    out = tmp_path / "generate.json"
+    assert main(["generate", "--model", model_path(models_dir, "support2"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("generated submodule (1 members):\n"
+                                       "  z      stage 0 (seed)\n")
+    data = json.loads(out.read_text())
+    assert data["seed"] == []
+    assert data["members"] == [{"object": "z", "stage": 0, "via": "seed"}]
 
 
 def test_cli_witness(models_dir, capsys):

@@ -226,11 +226,13 @@ def test_op_table_matches_join_by_pair(operator_cases, glued, restrict2):
 
 
 def test_space_is_fixed_points_of_c(operator_cases, glued, restrict2):
-    """The space read from the completion's principal table is SMod^c: the
-    points of SMod that c fixes, in the same order."""
+    """The monoid's space is SMod^c, the points of SMod that c fixes, in
+    the same order, and its points are exactly the values of the
+    completion's principal table, so every cell has an index."""
     for c in _gated_cases(operator_cases, glued, restrict2):
-        space = fixed_points(enumerate_smod(c.presentation), c)
-        assert monoid_report(c).space == space
+        rep = monoid_report(c)
+        assert rep.space == fixed_points(enumerate_smod(c.presentation), c)
+        assert set(c.completion.principal_table) == set(rep.space.points)
 
 
 def test_continuous_flag_matches_joint_continuity_oracle(

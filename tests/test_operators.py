@@ -212,7 +212,7 @@ def test_c_infinity_requires_gate(support2):
 
 
 def test_c_infinity_gate_matches_classify(operator_cases):
-    """c_infinity decides its gate on the principal table alone; it raises
+    """c_infinity decides its gate on ``c.point_values`` alone; it raises
     exactly where classify's gate is False, naming the first failing
     condition: extensive, then SMod-valued.  monoid_report passes that
     name on."""
@@ -233,6 +233,33 @@ def test_c_infinity_gate_matches_classify(operator_cases):
             assert str(err.value) == ("operator does not pass the gate: "
                                       "c-infinity requires " + condition)
     assert 0 < gated < len(operator_cases)
+
+
+def test_c_infinity_applies_c_to_no_point_after_classify(operator_cases,
+                                                        monkeypatch):
+    """classify and c_infinity read c at the points from one table, and
+    past the gate every iterate is a point of that table, so c_infinity
+    applies c to nothing after classify."""
+    calls = []
+    apply = OperatorSpec.apply
+
+    def counting(self, N):
+        calls.append(N)
+        return apply(self, N)
+
+    monkeypatch.setattr(OperatorSpec, "apply", counting)
+    gated = 0
+    for c in operator_cases:
+        c = c._replace()  # a copy without the cached table
+        p = c.presentation
+        calls.clear()
+        if classify(p, c).gate:
+            assert calls
+            gated += 1
+            calls.clear()
+            c_infinity(p, c)
+            assert calls == []
+    assert gated > 30
 
 
 def test_gate_rejects_operator_leaving_smod(support2):

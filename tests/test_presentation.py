@@ -301,6 +301,8 @@ def test_size_bound():
         chain_model(99)
     with pytest.raises(ResourceError):
         support_model(0)
+    with pytest.raises(ResourceError):
+        chain_model(0)
 
 
 def test_broken_sum_unit_reported(support2):
@@ -368,7 +370,8 @@ def test_triangles_rotation_closed(support2, chain3):
 def test_fields_are_read_only(support2):
     c = identity_operator(support2)
     records = [(support2, "names"), (support2, "principals"),
-               (support2.base, "sum"), (c, "repair"), (c, "completion"),
+               (support2.base, "sum"), (c, "repair"), (c, "point_values"),
+               (c, "completion"),
                (enumerate_smod(support2), "points"),
                (monoid_report(c), "identity")]
     for record, field in records:

@@ -6,8 +6,8 @@ from time import perf_counter
 import pytest
 
 from ttg import (all_submodules, basis_properties, classify, division,
-                 enumerate_smod, fixed_points, from_family, identity_operator,
-                 radical, spectral_report, ultrafilter_check)
+                 enumerate_smod, fixed_points, fixed_space, from_family,
+                 identity_operator, radical, spectral_report, ultrafilter_check)
 from ttg.docio import load, specialization_dot
 from ttg.presentation import chain_model, support_model, validate
 from ttg.space import SModSpace, make_space
@@ -76,6 +76,13 @@ def test_fixed_points_family(support2):
     c = from_family(support2, [frozenset({0}), full])
     fixed = fixed_points(enumerate_smod(support2), c)
     assert set(fixed.points) == {frozenset({0}), full}
+
+
+def test_fixed_space_is_fixed_points_for_every_operator(operator_cases):
+    """The one SMod^c function, read from ``c.point_values``, equals the
+    filter of SMod by ``apply``, gated operator or not."""
+    for c in operator_cases:
+        assert fixed_space(c) == fixed_points(enumerate_smod(c.presentation), c)
 
 
 def test_spectral_support2(support2):
