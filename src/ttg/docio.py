@@ -9,8 +9,6 @@ without a "module" section presents K acting on itself.
 import hashlib
 import json
 
-from .operators import (OperatorError, division, from_family, identity_operator,
-                        radical, table_operator)
 from .presentation import (MAX_OBJECTS_DEFAULT, CategoryPresentation,
                            ModulePresentation, ResourceError,
                            rotation_closure, self_module, validate)
@@ -128,6 +126,11 @@ _NEEDS = {"identity": None, "radical": None, "division": "s",
 
 
 def _build_operator(p, name, spec):
+    # Imported here, so that loading a document without operators never
+    # loads the operators module.
+    from .operators import (OperatorError, division, from_family,
+                            identity_operator, radical, table_operator)
+
     what = "operator %r" % name
     _dict(spec, what)
     resolve = _resolver(p.names, what)
@@ -149,15 +152,18 @@ def _build_operator(p, name, spec):
     table = ({resolve(m): ids(vals, "entry")
               for m, vals in _dict(spec["table"], what + " table").items()}
              if "table" in spec else None)
-    if kind == "identity":
-        return identity_operator(p)
-    if kind == "radical":
-        return radical(p)
-    if kind == "division":
-        return division(p, s)
-    if kind == "family":
-        return from_family(p, members)
-    return table_operator(p, table)
+    try:
+        if kind == "identity":
+            return identity_operator(p)
+        if kind == "radical":
+            return radical(p)
+        if kind == "division":
+            return division(p, s)
+        if kind == "family":
+            return from_family(p, members)
+        return table_operator(p, table)
+    except OperatorError as exc:
+        raise DocumentError("%s: %s" % (what, exc))
 
 
 def load_document(doc, max_objects=MAX_OBJECTS_DEFAULT):
@@ -179,10 +185,7 @@ def load_document(doc, max_objects=MAX_OBJECTS_DEFAULT):
     for name in sorted(specs):
         if name == "identity":
             raise DocumentError("operator name 'identity' is reserved")
-        try:
-            operators[name] = _build_operator(p, name, specs[name])
-        except OperatorError as exc:
-            raise DocumentError("operator %r: %s" % (name, exc))
+        operators[name] = _build_operator(p, name, specs[name])
     return p, operators
 
 
@@ -254,7 +257,9 @@ def save(doc, path):
 
 
 def model_digest(doc):
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # doc is a tree that normalize_document built, so it holds no cycle.
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                           check_circular=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -9,6 +9,7 @@ family-induced closure, user tables, and the iterated completion.
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 from .presentation import is_self_module
 from .thick import _checked, _closure, _point_key, all_submodules, is_thick
@@ -48,8 +49,10 @@ class OperatorSpec(namedtuple("OperatorSpec",
 
     @cached_property
     def point_values(self):
-        """c at every point of SMod, in point order, applied once."""
-        return {N: self.apply(N) for N in all_submodules(self.presentation)}
+        """c at every point of SMod, in point order, applied once; a
+        read-only mapping, since every verdict on c is read from it."""
+        return MappingProxyType({N: self.apply(N)
+                                 for N in all_submodules(self.presentation)})
 
     @cached_property
     def completion(self):
@@ -201,7 +204,9 @@ def classify(p, c):
 
     Extensivity, idempotence and SMod-valuedness are checked on each c(N)
     in ``c.point_values``, the last as ``_closure(p, c(N)) == c(N)``; the
-    other two hold by construction.  ``apply(N)`` is a union over the
+    other two hold by construction.  c(c(N)) is read from the same table
+    when c(N) is a point, so c is applied once per point and again only
+    to a value that is not a point.  ``apply(N)`` is a union over the
     members of N, and the repair K(sum of X) of a union X grows with X too,
     since the sum of A is a summand of the sum of B when A lies in B: so c
     preserves order.  Each point N is K(m) for some m in N, so c(N) is one
@@ -210,14 +215,16 @@ def classify(p, c):
     """
     witnesses = []
     extensive = idempotent = smod_valued = True
-    for N, value in c.point_values.items():
+    values = c.point_values
+    for N, value in values.items():
         if extensive and not N <= value:
             extensive = False
             witnesses.append(("extensive", tuple(sorted(N))))
         if smod_valued and _closure(p, value) != value:
             smod_valued = False
             witnesses.append(("smod_valued", tuple(sorted(N))))
-        if idempotent and c.apply(value) != value:
+        if idempotent and (values[value] if value in values
+                           else c.apply(value)) != value:
             idempotent = False
             witnesses.append(("idempotent", tuple(sorted(N))))
     return OperatorClassification(extensive, True, idempotent, True,

@@ -238,8 +238,9 @@ def test_c_infinity_gate_matches_classify(operator_cases):
 def test_c_infinity_applies_c_to_no_point_after_classify(operator_cases,
                                                         monkeypatch):
     """classify and c_infinity read c at the points from one table, and
-    past the gate every iterate is a point of that table, so c_infinity
-    applies c to nothing after classify."""
+    past the gate every value is a point of that table, so classify
+    applies c once per point, in point order, and c_infinity applies c to
+    nothing after classify."""
     calls = []
     apply = OperatorSpec.apply
 
@@ -254,7 +255,7 @@ def test_c_infinity_applies_c_to_no_point_after_classify(operator_cases,
         p = c.presentation
         calls.clear()
         if classify(p, c).gate:
-            assert calls
+            assert calls == list(all_submodules(p))
             gated += 1
             calls.clear()
             c_infinity(p, c)

@@ -4,7 +4,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ttg")
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+SUBMODULES = {os.path.splitext(os.path.basename(path))[0]
+              for path in glob.glob(os.path.join(SRC, "*.py"))} - {"__init__"}
 
 
 def test_library_imports_only_the_standard_library():
@@ -35,6 +40,49 @@ def _modules_after(code):
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Measured against a bare start-up, since site hooks may preload modules.
+    # The command line runs every stage, so it loads every module.
     added = _modules_after("import ttg.cli") - _modules_after("pass")
-    assert "ttg.cli" in added
+    assert {name for name in added if name.split(".")[0] == "ttg"} == (
+        {"ttg"} | {"ttg." + name for name in SUBMODULES})
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def _ttg_modules_after(code):
+    return {name for name in _modules_after(code) if name.split(".")[0] == "ttg"}
+
+
+def test_library_caller_loads_only_the_modules_it_uses():
+    # The closure-queries workload of perfbench: load a model, then ask
+    # generate, witnesses and is_thick.  Only named operators need
+    # ttg.operators; nothing here needs ttg.space or ttg.monoid.
+    code = ("from ttg import docio\n"
+            "from ttg.thick import generate, is_thick, witnesses\n"
+            "docio.load(%r)")
+    closure = {"ttg", "ttg.docio", "ttg.presentation", "ttg.thick"}
+    support3 = os.path.abspath(os.path.join(MODELS, "support3.json"))
+    support2 = os.path.abspath(os.path.join(MODELS, "support2.json"))
+    assert _ttg_modules_after(code % support3) == closure
+    assert _ttg_modules_after(code % support2) == closure | {"ttg.operators"}
+
+
+def test_bare_import_loads_a_submodule_on_first_use():
+    assert _ttg_modules_after("import ttg") == {"ttg"}
+    assert _ttg_modules_after("import ttg\nttg.docio.load") == {
+        "ttg", "ttg.docio", "ttg.presentation"}
+
+
+def test_public_names_are_their_home_modules_objects():
+    import ttg
+    assert len(set(ttg.__all__)) == len(ttg.__all__)
+    for name in ttg.__all__:
+        value = getattr(ttg, name)
+        assert value.__module__.startswith("ttg."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+    namespace = {}
+    exec("from ttg import *", namespace)
+    assert set(ttg.__all__) <= set(namespace)
+    assert set(ttg.__all__) | SUBMODULES <= set(dir(ttg))
+    assert ttg.docio is sys.modules["ttg.docio"]
+    with pytest.raises(AttributeError) as err:
+        ttg.nosuch
+    assert str(err.value) == "module 'ttg' has no attribute 'nosuch'"

@@ -377,6 +377,12 @@ def test_fields_are_read_only(support2):
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+    # Every verdict on c is read from its point table, so no entry of it
+    # may change: one assignment here used to drop a fixed point.
+    z, a = 0, 1
+    with pytest.raises(TypeError):
+        c.point_values[frozenset({z})] = frozenset({z, a})
+    assert c.point_values[frozenset({z})] == frozenset({z})
 
 
 def test_replace_starts_without_cached_tables():
