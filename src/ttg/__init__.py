@@ -10,15 +10,15 @@ from importlib import import_module
 _EXPORTS = {
     "presentation": ("CategoryPresentation", "ModulePresentation",
                      "ResourceError", "StructuralError", "chain_model",
-                     "self_module", "summands", "support_model", "validate"),
-    "thick": ("GenerationCertificate", "add", "all_submodules", "bar", "delta",
-              "generate", "is_thick", "principal", "witnesses"),
+                     "self_module", "support_model", "validate"),
+    "thick": ("GenerationCertificate", "add", "all_submodules", "generate",
+              "is_thick", "witnesses"),
     "operators": ("FamilySpec", "OperatorSpec", "c_infinity", "classify",
                   "division", "from_family", "identity_operator", "radical",
                   "table_operator", "validate_family"),
     "space": ("SModSpace", "basis_properties", "enumerate_smod", "fixed_points",
               "fixed_space", "spectral_report", "ultrafilter_check"),
-    "monoid": ("identity_element", "monoid_op", "monoid_report"),
+    "monoid": ("monoid_report",),
     "docio": (),
     "cli": (),
 }

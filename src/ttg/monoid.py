@@ -16,37 +16,11 @@ from collections import namedtuple
 
 from .operators import OperatorError
 from .space import fixed_space
-from .thick import _checked, _closure, _generator
+from .thick import _generator
 
 
 class MonoidError(Exception):
     pass
-
-
-def _require_fixed(c, N):
-    N = _checked(c.presentation, N)
-    if _closure(c.presentation, N) != N:
-        raise MonoidError("submodule %r is not thick" % (sorted(N),))
-    if c.apply(N) != N:
-        raise MonoidError("submodule %r is not fixed by the operator" % (sorted(N),))
-    return N
-
-
-def monoid_op(c, N, N2):
-    """Completed join of two fixed points; lands in the fixed-point space.
-    One lookup in the completion's principal table (see ``monoid_report``)."""
-    p = c.presentation
-    g, h = (_generator(p, _require_fixed(c, X)) for X in (N, N2))
-    return c.completion.principal_table[p.sum[g][h]]
-
-
-def identity_element(c):
-    """The least fixed point: completion of the zero submodule.
-
-    It is neutral for ``monoid_op`` once c passes the gate (see
-    ``monoid_report``); ``c.completion`` raises OperatorError otherwise."""
-    p = c.presentation
-    return c.completion.principal_table[p.zero]
 
 
 class MonoidReport(namedtuple(

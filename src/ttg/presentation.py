@@ -437,12 +437,6 @@ def validate(p):
     return report
 
 
-def summands(p, x):
-    """All n with n + n' = x for some n' in the module sum table."""
-    p.check_object(x)
-    return frozenset(n for n, _ in p.decompositions[x])
-
-
 def self_module(cat):
     """K viewed as a module over itself: action = tensor."""
     return ModulePresentation(

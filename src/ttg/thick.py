@@ -147,23 +147,15 @@ def _delta_steps(p, X):
             yield c, (t, a, b)
 
 
-def bar(p, X):
-    """Summands of all a * m with m in X: the targets of ``_bar_steps``."""
-    return frozenset(n for n, _ in _bar_steps(p, _checked(p, X)))
-
-
-def delta(p, X):
-    """Third entries of triangles with two entries in X: ``_delta_steps``."""
-    return frozenset(n for n, _ in _delta_steps(p, _checked(p, X)))
-
-
 def generate(p, X):
     """Smallest thick submodule containing X, with a provenance certificate.
 
-    Iterates X_{i+1} = delta(bar(X_i)) from X_0 = X united with {zero}; the
-    zero seed makes delta monotone from stage 0.  Each stage runs the bar
-    steps over X_i, then the delta steps over the members after the bar
-    pass, recording the first step that reaches each new object.
+    Iterates X_{i+1} = delta(bar(X_i)) from X_0 = X united with {zero},
+    bar and delta being the rules whose steps ``_bar_steps`` and
+    ``_delta_steps`` yield; the zero seed makes delta monotone from stage
+    0.  Each stage runs the bar steps over X_i, then the delta steps over
+    the members after the bar pass, recording the first step that reaches
+    each new object.
     Stabilizes within |objects| iterations since membership only grows.
     """
     X = _checked(p, X)
@@ -183,12 +175,6 @@ def generate(p, X):
         if len(records) == before:
             break
     return frozenset(records), GenerationCertificate(seed=X, records=records)
-
-
-def principal(p, m):
-    """K(m): the smallest thick submodule containing the single object m."""
-    p.check_object(m)
-    return p.principals[m]
 
 
 def witnesses(cert, m, X):

@@ -12,6 +12,10 @@ from ttg import (CategoryPresentation, ModulePresentation, all_submodules,
 from ttg.docio import load
 from ttg.operators import OperatorSpec
 from ttg.presentation import rotation_closure
+from ttg.thick import _bar_steps, _delta_steps
+
+from oracles import _delta_steps as delta_steps_by_scan
+from oracles import summands_by_scan, triangle_positions
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -29,6 +33,27 @@ def support3():
 @pytest.fixture(scope="session")
 def chain3():
     return chain_model(3)
+
+
+def bar(p, X):
+    """The bar rule: the targets of the bar steps ``generate`` records."""
+    return frozenset(n for n, _ in _bar_steps(p, X))
+
+
+def delta(p, X):
+    """The delta rule: the targets of the delta steps ``generate`` records,
+    once those steps equal the ones ``generate_by_scan`` records."""
+    steps = list(_delta_steps(p, X))
+    assert steps == list(delta_steps_by_scan(triangle_positions(p), X))
+    return frozenset(n for n, _ in steps)
+
+
+def summands(p, x):
+    """The summands of x, read from ``p.decompositions``, once they equal
+    the ones a scan of the sum table finds."""
+    found = frozenset(n for n, _ in p.decompositions[x])
+    assert found == summands_by_scan(p, x)
+    return found
 
 
 def graded_support_model(n):

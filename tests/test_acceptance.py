@@ -13,8 +13,8 @@ import pytest
 
 from ttg import (all_submodules, basis_properties, c_infinity, chain_model,
                  classify, division, enumerate_smod, fixed_points, from_family,
-                 generate, identity_operator, monoid_report, principal,
-                 radical, spectral_report, support_model, table_operator,
+                 generate, identity_operator, monoid_report, radical,
+                 spectral_report, support_model, table_operator,
                  ultrafilter_check, validate_family, witnesses)
 from ttg.cli import main
 from ttg.operators import FamilyError
@@ -151,7 +151,7 @@ def test_criterion_7_c_infinity(support2, chain3, promote):
     started = time.time()
     cases = [(chain3, promote),
              (support2, table_operator(support2, promote_for(support2))),
-             (chain3, table_operator(chain3, {m: principal(chain3, m)
+             (chain3, table_operator(chain3, {m: chain3.principals[m]
                                               for m in range(4)}))]
     for p, c in cases:
         ci = c_infinity(p, c)
@@ -159,7 +159,7 @@ def test_criterion_7_c_infinity(support2, chain3, promote):
             out = ci.apply(N)
             assert c.apply(out) == out
             assert out == iterate_operator(c, N)
-            union = frozenset().union(*(ci.apply(principal(p, n)) for n in N))
+            union = frozenset().union(*(ci.apply(p.principals[n]) for n in N))
             assert out == union
     _announce(7, "c-infinity completion", started)
 

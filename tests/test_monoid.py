@@ -5,11 +5,9 @@ from time import perf_counter
 import pytest
 
 from ttg import (add, all_submodules, chain_model, classify, enumerate_smod,
-                 fixed_points, from_family, identity_element,
-                 identity_operator, monoid_op, monoid_report, radical,
-                 support_model, table_operator)
+                 fixed_points, from_family, identity_operator, monoid_report,
+                 radical, support_model, table_operator)
 from ttg.docio import load
-from ttg.monoid import MonoidError
 from ttg.presentation import UnknownObjectError
 
 from conftest import graded_support_model, restriction_module
@@ -18,34 +16,40 @@ from oracles import (continuity_check, jointly_continuous,
                      op_table_by_join)
 
 
+def _join(rep, N, N2):
+    """The point in ``rep``'s cell for the points N and N2."""
+    points = rep.space.points
+    return points[rep.op_table[points.index(N)][points.index(N2)]]
+
+
 def test_monoid_op_identity_operator(support2):
     z, a, b, t = range(4)
     c = identity_operator(support2)
-    assert monoid_op(c, frozenset({z, a}), frozenset({z, b})) == {z, a, b, t}
+    N, N2 = frozenset({z, a}), frozenset({z, b})
+    assert _join(monoid_report(c), N, N2) == {z, a, b, t}
+    assert monoid_op_by_definition(c, N, N2) == {z, a, b, t}
 
 
 def test_monoid_op_promote(chain3, promote):
     full = frozenset(range(4))
-    assert monoid_op(promote, frozenset({0}), full) == full
-
-
-def test_monoid_op_rejects_non_fixed(chain3, promote):
-    with pytest.raises(MonoidError):
-        monoid_op(promote, frozenset({0, 1}), frozenset({0}))
+    assert _join(monoid_report(promote), frozenset({0}), full) == full
+    assert monoid_op_by_definition(promote, frozenset({0}), full) == full
 
 
 def test_identity_element_examples(support2, chain3, promote):
-    assert identity_element(identity_operator(support2)) == {0}
-    assert identity_element(promote) == {0}
     fam = from_family(support2, [frozenset({0}), frozenset(range(4))])
-    assert identity_element(fam) == {0}
+    for c in (identity_operator(support2), promote, fam):
+        rep = monoid_report(c)
+        assert rep.space.points[rep.identity] == {0}
+        assert monoid_op_by_definition(c, (), ()) == {0}
 
 
 def test_neutrality(support2):
     c = identity_operator(support2)
-    e = identity_element(c)
+    rep = monoid_report(c)
+    e = rep.space.points[rep.identity]
     for N in fixed_points(enumerate_smod(support2), c).points:
-        assert monoid_op(c, N, e) == N
+        assert _join(rep, N, e) == N == monoid_op_by_definition(c, N, e)
 
 
 def test_nc_set_examples(support2, chain3, promote):
@@ -112,10 +116,6 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
     c = identity_operator(support2)
     full = frozenset(range(4))
     with pytest.raises(UnknownObjectError):
-        monoid_op(c, {bad}, full)
-    with pytest.raises(UnknownObjectError):
-        monoid_op(c, full, {bad})
-    with pytest.raises(UnknownObjectError):
         c.apply({bad})
     with pytest.raises(UnknownObjectError):
         add(support2, {bad}, full)
@@ -125,25 +125,13 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
                                       bad: full})
 
 
-def test_monoid_entry_points_reject_non_thick(support2):
-    z, a, b, t = range(4)
-    c = identity_operator(support2)
-    N = frozenset({z, a, b})  # a + b = t is missing
-    assert c.apply(N) == N
-    with pytest.raises(MonoidError, match="not thick"):
-        monoid_op(c, N, {z})
-    with pytest.raises(MonoidError, match="not thick"):
-        monoid_op(c, {z}, N)
-
-
 def test_table_operator_repairs_raw_union(support2):
     z, a, b, t = range(4)
     full = frozenset(range(4))
     c = table_operator(support2, {z: {z}, a: {z, a}, b: {z, b}, t: full})
     # the raw union {z, a, b} is not thick: a + b = t is missing
     assert c.apply({z, a, b}) == full
-    with pytest.raises(MonoidError):
-        monoid_op(c, {z, a, b}, {z})
+    assert frozenset({z, a, b}) not in monoid_report(c).space.points
 
 
 def _random_table_operators(p, rng, count):
@@ -179,13 +167,12 @@ def test_monoid_matches_definition(models_dir, support2, support3, chain3,
         assert rep.space.points == points
         least = [i for i, N in enumerate(points) if all(N <= M for M in points)]
         assert [rep.identity] == least
-        assert identity_element(c) == points[rep.identity]
+        assert points[rep.identity] == monoid_op_by_definition(c, (), ())
         table = []
         for i, N in enumerate(points):
             images = [monoid_op_by_definition(c, N, N2) for N2 in points]
             table.append(images)
             for j, N2 in enumerate(points):
-                assert monoid_op(c, N, N2) == images[j]
                 assert rep.op_table[i][j] == points.index(images[j])
             joins = [monoid_op_by_definition(c, N, {m2})
                      for m2 in range(p.n_objects)]

@@ -4,7 +4,7 @@ import pytest
 
 from ttg import (all_submodules, c_infinity, classify, division,
                  enumerate_smod, fixed_points, from_family, identity_operator,
-                 is_thick, monoid_report, principal, radical, table_operator,
+                 is_thick, monoid_report, radical, table_operator,
                  validate_family)
 from ttg.monoid import MonoidError
 from ttg.operators import FamilyError, OperatorError, OperatorSpec
@@ -146,7 +146,7 @@ def test_promote_classification(chain3, promote):
 
 
 def test_table_identity(chain3):
-    c = table_operator(chain3, {m: principal(chain3, m)
+    c = table_operator(chain3, {m: chain3.principals[m]
                                 for m in range(chain3.n_objects)})
     for N in all_submodules(chain3):
         assert c.apply(N) == N

@@ -86,3 +86,33 @@ def test_public_names_are_their_home_modules_objects():
     with pytest.raises(AttributeError) as err:
         ttg.nosuch
     assert str(err.value) == "module 'ttg' has no attribute 'nosuch'"
+
+
+# Second routes to a fact another route decides: monoid_report gives the
+# cells and the identity, p.principals gives K(m), p.decompositions the
+# summands, and generate records the bar and delta steps.
+RETIRED = ("monoid_op", "identity_element", "_require_fixed", "bar", "delta",
+           "principal", "summands")
+
+
+def _top_level_names(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_second_routes_are_gone(name):
+    import ttg
+    assert name not in ttg.__all__
+    assert name not in dir(ttg)
+    with pytest.raises(AttributeError):
+        getattr(ttg, name)
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        assert name not in _top_level_names(path), path

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from ttg import (chain_model, enumerate_smod, generate, identity_operator,
-                 is_thick, monoid_report, self_module, summands, support_model,
-                 validate)
+                 is_thick, monoid_report, self_module, support_model, validate)
 from ttg.cli import main
 from ttg.docio import load, normalize_document, save
 from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
@@ -13,7 +12,7 @@ from ttg.presentation import (ResourceError, StructuralError, ValidationReport,
                               rotation_closure)
 from ttg.thick import _closure
 
-from conftest import restriction_module
+from conftest import restriction_module, summands
 from oracles import (basis_by_definition, brute_thick_sets,
                      principals_by_worklist, validate_by_scan)
 

@@ -3,11 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttg import (add, bar, delta, generate, is_thick, principal,
-                 spectral_report, support_model, witnesses)
+from ttg import (add, generate, is_thick, spectral_report, support_model,
+                 witnesses)
 from ttg.presentation import chain_model
 from ttg.space import SModSpace
 
+from conftest import bar, delta
 from oracles import minimal_thick_superset, spectral_by_definition
 
 SUPPORT3 = support_model(3)
@@ -66,7 +67,7 @@ def test_add_is_join(X, Y):
 
 @given(st.integers(0, SUPPORT3.n_objects - 1))
 def test_principal_is_smallest(m):
-    K = principal(SUPPORT3, m)
+    K = SUPPORT3.principals[m]
     assert m in K
     assert K == minimal_thick_superset(SUPPORT3, frozenset({m}))
 

@@ -9,6 +9,7 @@ from ttg import (all_submodules, basis_properties, classify, division,
                  enumerate_smod, fixed_points, fixed_space, from_family,
                  identity_operator, radical, spectral_report, ultrafilter_check)
 from ttg.docio import load, specialization_dot
+from ttg.operators import OperatorSpec
 from ttg.presentation import chain_model, support_model, validate
 from ttg.space import SModSpace, make_space
 
@@ -145,6 +146,38 @@ def test_ultrafilter_matches_definition(operator_cases):
         for space in (smod, fixed_points(smod, c)):
             assert (_ultrafilter_rows(space, c)
                     == ultrafilter_by_definition(space, c))
+
+
+def test_ultrafilter_applies_c_to_no_point_after_classify(operator_cases,
+                                                         support2, monkeypatch):
+    """The ultrafilter check reads c at an induced set that is a point from
+    the table ``classify`` filled, so on SMod^c of a gated operator it
+    applies c to nothing; it applies c only to an induced set that is not
+    a point."""
+    calls = []
+    apply = OperatorSpec.apply
+
+    def counting(self, N):
+        calls.append(N)
+        return apply(self, N)
+
+    monkeypatch.setattr(OperatorSpec, "apply", counting)
+    gated = 0
+    for c in operator_cases:
+        c = c._replace()  # a copy without the cached table
+        if classify(c.presentation, c).gate:
+            gated += 1
+            calls.clear()
+            assert ultrafilter_check(fixed_space(c), c).passed
+            assert calls == []
+    assert gated > 30
+    c = identity_operator(support2)
+    classify(support2, c)
+    calls.clear()
+    not_thick = frozenset({0, 1, 2})  # a + b is missing
+    rep = ultrafilter_check(make_space([not_thick], support2.n_objects), c)
+    assert calls == [not_thick]
+    assert not rep.results[0].thick and rep.results[0].fixed
 
 
 def _hand_built_space(p, rng):

@@ -5,15 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from ttg import (add, all_submodules, bar, chain_model, delta, enumerate_smod,
-                 generate, identity_operator, is_thick, monoid_report,
-                 principal, self_module, summands, support_model,
-                 validate, witnesses)
+from ttg import (add, all_submodules, chain_model, enumerate_smod, generate,
+                 identity_operator, is_thick, monoid_report, self_module,
+                 support_model, validate, witnesses)
 from ttg.presentation import (UnknownObjectError, is_self_module,
                               rotation_closure)
 from ttg.thick import GenerationError, _checked
 
-from conftest import graded_support_model, restriction_module
+from conftest import (bar, delta, graded_support_model, restriction_module,
+                      summands)
 from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
                      least_cofactor, minimal_thick_superset,
                      principals_by_worklist, summands_by_scan,
@@ -260,9 +260,10 @@ def test_summands_and_bar_match_scan(support2, support3, chain3):
 
 def test_principal_examples(support2):
     z, a, b, t = range(4)
-    assert principal(support2, t) == {z, a, b, t}
-    assert principal(support2, z) == {z}
-    assert principal(support2, a) == {z, a}
+    assert support2.principals[t] == {z, a, b, t}
+    assert support2.principals[z] == {z}
+    assert support2.principals[a] == {z, a}
+    assert support2.principals == principals_by_worklist(support2)
 
 
 def test_witnesses_examples(support2):
@@ -319,7 +320,7 @@ def test_finite_principality(support2, support3, chain3, graded2):
         total = support3.zero
         for m in sorted(N):
             total = support3.sum[total][m]
-        assert principal(support3, total) == N
+        assert support3.principals[total] == N
     # so is the closure of any set, which add reads from the principal table
     for p in (support2, chain3, support3):
         for X in all_subsets(range(p.n_objects)):
