@@ -34,8 +34,9 @@ class OperatorSpec(namedtuple("OperatorSpec",
     ``principal_table`` maps each object id to a frozenset of member ids.
     ``apply`` takes and returns member frozensets.  For table-defined
     operators the raw union of principals may fail thickness; those carry
-    repair=True and return its thick closure.  ``point_values`` and
-    ``completion`` are computed once and kept in the instance ``__dict__``.
+    repair=True and return its thick closure.  ``point_values``,
+    ``classification`` and ``completion`` are computed once and kept in the
+    instance ``__dict__``: every verdict on c reads c and its presentation.
     """
 
     def __setattr__(self, name, value):
@@ -53,6 +54,38 @@ class OperatorSpec(namedtuple("OperatorSpec",
         read-only mapping, since every verdict on c is read from it."""
         return MappingProxyType({N: self.apply(N)
                                  for N in all_submodules(self.presentation)})
+
+    @cached_property
+    def classification(self):
+        """The flags ``classify`` returns, decided once from ``point_values``.
+
+        c(N) is thick exactly when it is a point of SMod, a key of that
+        table: each thick X is K(g), g the sum of X's members (see
+        ``all_submodules``).  c(c(N)) is read from the same table when c(N)
+        is a point, so c is applied again only to a value that is not one.
+        ``apply(N)`` is a union over the members of N, and the repair K(sum
+        of X) of a union X grows with X too, since the sum of A is a summand
+        of the sum of B when A lies in B: so c preserves order.  Each point
+        N is K(m) for some m in N, so c(N) is one term of the union of
+        c(K(n)) over n in N, and every other term lies in c(N) because K(n)
+        lies in N: so c has finite type.
+        """
+        witnesses = []
+        extensive = idempotent = smod_valued = True
+        values = self.point_values
+        for N, value in values.items():
+            if extensive and not N <= value:
+                extensive = False
+                witnesses.append(("extensive", tuple(sorted(N))))
+            if smod_valued and value not in values:
+                smod_valued = False
+                witnesses.append(("smod_valued", tuple(sorted(N))))
+            if idempotent and (values[value] if value in values
+                               else self.apply(value)) != value:
+                idempotent = False
+                witnesses.append(("idempotent", tuple(sorted(N))))
+        return OperatorClassification(extensive, True, idempotent, True,
+                                      smod_valued, tuple(witnesses))
 
     @cached_property
     def completion(self):
@@ -200,60 +233,31 @@ def table_operator(p, table):
 
 def classify(p, c):
     """Decide the four operator properties over SMod(M), and whether c maps
-    SMod into SMod.
-
-    Extensivity, idempotence and SMod-valuedness are checked on each c(N)
-    in ``c.point_values``, the last as ``_closure(p, c(N)) == c(N)``; the
-    other two hold by construction.  c(c(N)) is read from the same table
-    when c(N) is a point, so c is applied once per point and again only
-    to a value that is not a point.  ``apply(N)`` is a union over the
-    members of N, and the repair K(sum of X) of a union X grows with X too,
-    since the sum of A is a summand of the sum of B when A lies in B: so c
-    preserves order.  Each point N is K(m) for some m in N, so c(N) is one
-    term of the union of c(K(n)) over n in N, and every other term lies in
-    c(N) because K(n) lies in N: so c has finite type.
-    """
-    witnesses = []
-    extensive = idempotent = smod_valued = True
-    values = c.point_values
-    for N, value in values.items():
-        if extensive and not N <= value:
-            extensive = False
-            witnesses.append(("extensive", tuple(sorted(N))))
-        if smod_valued and _closure(p, value) != value:
-            smod_valued = False
-            witnesses.append(("smod_valued", tuple(sorted(N))))
-        if idempotent and (values[value] if value in values
-                           else c.apply(value)) != value:
-            idempotent = False
-            witnesses.append(("idempotent", tuple(sorted(N))))
-    return OperatorClassification(extensive, True, idempotent, True,
-                                  smod_valued, tuple(witnesses))
+    SMod into SMod: ``c.classification``, decided once per operator.
+    ``p`` is c's presentation and is not read."""
+    return c.classification
 
 
 def c_infinity(p, c):
     """Union of all iterates of c, materialized as a finite-type operator.
 
-    Requires c to pass the gate of ``classify``: extensive,
-    order-preserving, finite type and SMod-valued.  Each iterate of a
-    point is then a point, the image consists of fixed points of c, and
+    Requires c to pass ``c.classification.gate``: extensive,
+    order-preserving, finite type and SMod-valued.  Each iterate of a point
+    is then a point, the image consists of fixed points of c, and
     evaluation by union of principals agrees with direct iteration
-    (checked in the tests).
-
-    The gate reads ``c.point_values``, not ``classify``: order preservation
-    and finite type hold by construction (see ``classify``), so c passes
-    exactly when N lies in c(N) and c(N) equals its thick closure at every
-    point N.  The first failing condition names the error.  Past the gate
-    every iterate is a point, so iterating is a walk through that table.
+    (checked in the tests).  The gate is read, not decided again; order
+    preservation and finite type hold by construction, so the error names
+    extensive, else SMod-valued.  Iterating is a walk through
+    ``c.point_values``.  ``p`` is c's presentation and is not read.
     """
+    cls = c.classification
+    if not cls.gate:
+        raise OperatorError("c-infinity requires "
+                            + ("SMod-valued" if cls.extensive else "extensive"))
     values = c.point_values
-    if not all(N <= v for N, v in values.items()):
-        raise OperatorError("c-infinity requires extensive")
-    if not all(_closure(p, v) == v for v in values.values()):
-        raise OperatorError("c-infinity requires SMod-valued")
     table = []
-    for N in p.principals:
+    for N in c.presentation.principals:
         while values[N] != N:
             N = values[N]
         table.append(N)
-    return OperatorSpec("c-infinity", p, tuple(table))
+    return OperatorSpec("c-infinity", c.presentation, tuple(table))

@@ -13,7 +13,7 @@ from ``validate``'s rules (see ``basis_properties``).
 from collections import namedtuple
 from itertools import combinations
 
-from .thick import _closure, _point_key, all_submodules
+from .thick import _point_key, all_submodules
 
 
 # points: ordered, deduplicated frozensets of object ids; basis: object id
@@ -132,20 +132,19 @@ def ultrafilter_check(space, c):
     set of m with N in U(m), which must be thick, fixed by c, and equal N.
 
     The biconditional (N in U(m) iff m in the induced submodule) is the
-    definition of the induced submodule, so it holds on every space.  A set
-    is thick exactly when it equals its thick closure, which ``_closure``
-    reads from the principal table on a validated presentation.  c at the
-    induced set is read from ``c.point_values`` when the set is a point, as
-    in ``classify``, and applied only to a set that is not one.
+    definition of the induced submodule, so it holds on every space.  On a
+    validated presentation a set is thick exactly when it is a point of
+    SMod (see ``OperatorSpec.classification``), so both thickness and c at
+    the induced set are read from ``c.point_values``; c is applied only to
+    an induced set that is not a point.
     """
     p = c.presentation
     values = c.point_values
     results = []
     for i, N in enumerate(space.points):
         induced = frozenset(m for m in range(p.n_objects) if i in space.basis[m])
-        thick = _closure(p, induced) == induced
-        fixed = (values[induced] if induced in values
-                 else c.apply(induced)) == induced
+        thick = induced in values
+        fixed = (values[induced] if thick else c.apply(induced)) == induced
         results.append(UltrafilterPointResult(i, thick, fixed, induced == N, True))
     note = ("all ultrafilters on a finite point set are principal; "
             "checked one per point")
@@ -168,8 +167,8 @@ class BasisReport(namedtuple(
 def basis_properties(p, space):
     """The five structural identities of the U(m) basis, derived.
 
-    Precondition, the one ``_closure`` and ``all_submodules`` already rely
-    on: ``space = enumerate_smod(p)`` for a presentation p that passes
+    Precondition, the one ``all_submodules`` already relies on: ``space =
+    enumerate_smod(p)`` for a presentation p that passes
     ``validate``.  Every point is then a principal K(g), the least set
     holding g and zero and closed under the summand and triangle rules of
     ``ModulePresentation.principals``.  So each identity holds, and

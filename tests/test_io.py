@@ -417,7 +417,8 @@ def test_cli_ultrafilter(models_dir, tmp_path):
 def test_cli_gate_error_exits_1(glued, tmp_path, capsys):
     """Division by {a} on glued maps the point {z} to {z, b}, which is not
     thick, so monoid stops at the gate of c-infinity; spectral still reads
-    the one fixed point, the whole module."""
+    the one fixed point, the whole module.  The report classifies div_a
+    only, and ``operators`` names the point {z} for both false flags."""
     doc = normalize_document({"category": {}}, glued)
     doc["operators"] = {"div_a": {"kind": "division", "s": ["a"]}}
     path = str(tmp_path / "glued.json")
@@ -428,6 +429,18 @@ def test_cli_gate_error_exits_1(glued, tmp_path, capsys):
         "c-infinity requires SMod-valued\n")
     assert main(["spectral", "--model", path, "--operator", "div_a"]) == 0
     assert capsys.readouterr().out.startswith("fixed-point space: 1 points\n")
+    out = str(tmp_path / "out.json")
+    assert main(["report", "--model", path, "--out", out]) == 0
+    with open(out) as fh:
+        entry = json.load(fh)["checks"][2]
+    assert entry == {"name": "operator:div_a", "gate": False, "passed": True,
+                     "flags": {"extensive": True, "order_preserving": True,
+                               "idempotent": False, "finite_type": True}}
+    assert main(["operators", "--model", path, "--operator", "div_a",
+                 "--out", out]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["witnesses"] == [["smod_valued", [0]],
+                                              ["idempotent", [0]]]
 
 
 def test_cli_unknown_operator(models_dir):

@@ -2,12 +2,14 @@ from time import perf_counter
 
 import pytest
 
+import ttg.thick
 from ttg import (all_submodules, c_infinity, classify, division,
-                 enumerate_smod, fixed_points, from_family, identity_operator,
-                 is_thick, monoid_report, radical, table_operator,
-                 validate_family)
+                 enumerate_smod, fixed_points, fixed_space, from_family,
+                 identity_operator, is_thick, monoid_report, radical,
+                 table_operator, ultrafilter_check, validate_family)
 from ttg.monoid import MonoidError
-from ttg.operators import FamilyError, OperatorError, OperatorSpec
+from ttg.operators import (FamilyError, OperatorClassification, OperatorError,
+                           OperatorSpec)
 from ttg.presentation import support_model
 
 from oracles import (all_subsets, classify_by_definition, division_scan,
@@ -212,10 +214,10 @@ def test_c_infinity_requires_gate(support2):
 
 
 def test_c_infinity_gate_matches_classify(operator_cases):
-    """c_infinity decides its gate on ``c.point_values`` alone; it raises
-    exactly where classify's gate is False, naming the first failing
-    condition: extensive, then SMod-valued.  monoid_report passes that
-    name on."""
+    """c_infinity reads its gate from ``c.classification``, the value
+    classify returns; it raises exactly where that gate is False, naming
+    the first failing condition: extensive, then SMod-valued.
+    monoid_report passes that name on."""
     gated = 0
     for c in operator_cases:
         p = c.presentation
@@ -259,6 +261,57 @@ def test_c_infinity_applies_c_to_no_point_after_classify(operator_cases,
             gated += 1
             calls.clear()
             c_infinity(p, c)
+            assert calls == []
+    assert gated > 30
+
+
+def test_verdicts_follow_c_not_a_stray_p(support2, chain3):
+    """``p`` is c's presentation and is not read: classify and c_infinity
+    give c's own verdicts next to another presentation, and c^inf is built
+    on c's presentation."""
+    c = identity_operator(support2)
+    assert tuple(classify(chain3, c)) == classify_by_definition(support2, c)
+    ci = c_infinity(chain3, c)
+    assert ci == c_infinity(support2, identity_operator(support2))
+    assert ci.presentation is support2
+
+
+def test_gate_is_read_from_the_classification(support2):
+    """c_infinity and monoid_report decide no gate of their own: a failing
+    classification seeded into a copy of the identity stops both."""
+    c = identity_operator(support2)._replace()
+    c.__dict__["classification"] = OperatorClassification(
+        extensive=False, order_preserving=True, idempotent=True,
+        finite_type=True, smod_valued=True)
+    with pytest.raises(OperatorError, match="^c-infinity requires extensive$"):
+        c_infinity(support2, c)
+    with pytest.raises(MonoidError, match="^operator does not pass the gate: "
+                       "c-infinity requires extensive$"):
+        monoid_report(c)
+
+
+def test_no_thick_closure_after_classify(operator_cases, monkeypatch):
+    """Past classify, c_infinity and the ultrafilter check on SMod^c read
+    the gate and every thickness from tables, so on a gated operator they
+    take no thick closure: each ``_closure`` goes through
+    ``thick._generator``."""
+    calls = []
+    generator = ttg.thick._generator
+
+    def counting(p, X):
+        calls.append(X)
+        return generator(p, X)
+
+    monkeypatch.setattr(ttg.thick, "_generator", counting)
+    gated = 0
+    for c in operator_cases:
+        c = c._replace()  # a copy without the cached tables
+        p = c.presentation
+        if classify(p, c).gate:
+            gated += 1
+            calls.clear()
+            c_infinity(p, c)
+            ultrafilter_check(fixed_space(c), c)
             assert calls == []
     assert gated > 30
 

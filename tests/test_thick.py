@@ -10,14 +10,14 @@ from ttg import (add, all_submodules, chain_model, enumerate_smod, generate,
                  support_model, validate, witnesses)
 from ttg.presentation import (UnknownObjectError, is_self_module,
                               rotation_closure)
-from ttg.thick import GenerationError, _checked
+from ttg.thick import GenerationError, _checked, _closure
 
 from conftest import (bar, delta, graded_support_model, restriction_module,
                       summands)
 from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
                      least_cofactor, minimal_thick_superset,
                      principals_by_worklist, summands_by_scan,
-                     thick_check_by_scan)
+                     thick_by_definition, thick_check_by_scan)
 
 
 def test_is_thick_examples(support2):
@@ -312,6 +312,19 @@ def test_add_commutative_idempotent(support2):
 def test_all_submodules_matches_brute_force(support2, support3, chain3):
     for p in (support2, support3, chain3):
         assert list(all_submodules(p)) == brute_thick_sets(p)
+
+
+def test_thick_exactly_when_a_point(support2, support3, chain3, graded2, glued):
+    """The lemma the classification and the ultrafilter check read
+    thickness by: on a validated presentation, X is thick exactly when it
+    is a point of SMod, and exactly when it equals its thick closure."""
+    for p in (support2, support3, chain3, graded2, glued,
+              restriction_module(3, 2)):
+        points = set(all_submodules(p))
+        for X in all_subsets(range(p.n_objects)):
+            thick = thick_by_definition(p, X)
+            assert (X in points) == thick == (_closure(p, X) == X), \
+                (p.names, sorted(X))
 
 
 def test_finite_principality(support2, support3, chain3, graded2):
