@@ -11,10 +11,10 @@ _EXPORTS = {
     "presentation": ("CategoryPresentation", "ModulePresentation",
                      "ResourceError", "StructuralError", "chain_model",
                      "self_module", "support_model", "validate"),
-    "thick": ("GenerationCertificate", "add", "all_submodules", "generate",
+    "thick": ("GenerationCertificate", "all_submodules", "generate",
               "is_thick", "witnesses"),
-    "operators": ("FamilySpec", "OperatorSpec", "c_infinity", "classify",
-                  "division", "from_family", "identity_operator", "radical",
+    "operators": ("FamilySpec", "OperatorSpec", "classify", "division",
+                  "from_family", "identity_operator", "radical",
                   "table_operator", "validate_family"),
     "space": ("SModSpace", "basis_properties", "enumerate_smod", "fixed_points",
               "fixed_space", "spectral_report", "ultrafilter_check"),

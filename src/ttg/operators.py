@@ -89,8 +89,27 @@ class OperatorSpec(namedtuple("OperatorSpec",
 
     @cached_property
     def completion(self):
-        """c^inf of this operator, computed once (see ``c_infinity``)."""
-        return c_infinity(self.presentation, self)
+        """c^inf, the union of all iterates of c, as a finite-type operator.
+
+        Requires c to pass ``classification.gate``: extensive,
+        order-preserving, finite type and SMod-valued.  Each iterate of a
+        point is then a point, the image consists of fixed points of c, and
+        evaluation by union of principals agrees with direct iteration.
+        The gate is read, not decided again; order preservation and finite
+        type hold by construction, so the error names extensive, else
+        SMod-valued.  Iterating is a walk through ``point_values``.
+        """
+        cls = self.classification
+        if not cls.gate:
+            raise OperatorError("c-infinity requires " + (
+                "SMod-valued" if cls.extensive else "extensive"))
+        values = self.point_values
+        table = []
+        for N in self.presentation.principals:
+            while values[N] != N:
+                N = values[N]
+            table.append(N)
+        return OperatorSpec("c-infinity", self.presentation, tuple(table))
 
 
 class OperatorClassification(namedtuple(
@@ -152,12 +171,11 @@ def division(p, S):
     """I -> { a | a tensor s in I for some s in S }, S multiplicatively closed."""
     if not is_self_module(p):
         raise OperatorError("division requires K acting on itself")
-    S = frozenset(S)
+    S = _checked(p, S)
     if not S:
         raise OperatorError("division requires a nonempty multiplicative set")
     cat = p.base
     for s in sorted(S):
-        p.check_object(s)
         for s2 in sorted(S):
             if cat.tensor[s][s2] not in S:
                 raise OperatorError(
@@ -237,27 +255,3 @@ def classify(p, c):
     ``p`` is c's presentation and is not read."""
     return c.classification
 
-
-def c_infinity(p, c):
-    """Union of all iterates of c, materialized as a finite-type operator.
-
-    Requires c to pass ``c.classification.gate``: extensive,
-    order-preserving, finite type and SMod-valued.  Each iterate of a point
-    is then a point, the image consists of fixed points of c, and
-    evaluation by union of principals agrees with direct iteration
-    (checked in the tests).  The gate is read, not decided again; order
-    preservation and finite type hold by construction, so the error names
-    extensive, else SMod-valued.  Iterating is a walk through
-    ``c.point_values``.  ``p`` is c's presentation and is not read.
-    """
-    cls = c.classification
-    if not cls.gate:
-        raise OperatorError("c-infinity requires "
-                            + ("SMod-valued" if cls.extensive else "extensive"))
-    values = c.point_values
-    table = []
-    for N in c.presentation.principals:
-        while values[N] != N:
-            N = values[N]
-        table.append(N)
-    return OperatorSpec("c-infinity", c.presentation, tuple(table))

@@ -61,29 +61,28 @@ def spectral_report(space):
 
     A point's profile is the set of basic opens holding it; T0 means no two
     profiles agree.  The closure of point i is {j : profile(j) <= profile(i)},
-    and in a finite space every irreducible closed set is a point closure,
-    so sober means no point closure has two generic points.
+    so two points share a closure exactly when they share a profile.  In a
+    finite space every irreducible closed set is a point closure, so the
+    space is sober, no point closure with two generic points, exactly when
+    it is T0 (Alexandroff 1937; Hochster 1969).  Only a space that fails T0
+    builds the closures, to name the first one with two generic points.
     """
     npts = len(space.points)
     witnesses = []
     profiles = [frozenset(m for m, U in enumerate(space.basis) if i in U)
                 for i in range(npts)]
-    t0 = True
-    for i, j in combinations(range(npts), 2):
-        if profiles[i] == profiles[j]:
-            t0 = False
-            witnesses.append(("t0", (i, j)))
-            break
-
-    closures = [frozenset(j for j in range(npts) if profiles[j] <= profiles[i])
-                for i in range(npts)]
-    sober = True
-    for C in sorted(set(closures), key=_point_key):
-        generics = [i for i in sorted(C) if closures[i] == C]
-        if len(generics) > 1:
-            sober = False
-            witnesses.append(("sober", (tuple(sorted(C)), tuple(generics))))
-            break
+    t0 = sober = len(set(profiles)) == npts
+    if not t0:
+        witnesses.append(("t0", next(
+            (i, j) for i, j in combinations(range(npts), 2)
+            if profiles[i] == profiles[j])))
+        closures = [frozenset(j for j in range(npts) if profiles[j] <= pi)
+                    for pi in profiles]
+        for C in sorted(set(closures), key=_point_key):
+            generics = tuple(i for i in sorted(C) if closures[i] == C)
+            if len(generics) > 1:
+                witnesses.append(("sober", (tuple(sorted(C)), generics)))
+                break
 
     basis_family = set(space.basis)
     basis_intersection_closed = True

@@ -223,11 +223,6 @@ def _closure(p, X):
     return p.principals[_generator(p, X)]
 
 
-def add(p, N, N2):
-    """N + N': the smallest thick submodule containing both."""
-    return _closure(p, frozenset(N) | frozenset(N2))
-
-
 def all_submodules(p):
     """Every thick submodule, as deduplicated principals.
 

@@ -12,12 +12,13 @@ table, which the tests check against ``brute_thick_sets``;
 whose certificates ``generate`` must keep record for record, read the
 model's summand table and list the triangle positions themselves; and
 ``op_table_by_join``, the monoid table's earlier builder, joins with
-``add`` and completes with ``c.completion``.
+``generate``, like ``monoid_op_by_definition``, and completes with
+``c.completion``.
 """
 
 from itertools import combinations, combinations_with_replacement
 
-from ttg import add, all_submodules, enumerate_smod, fixed_points, generate
+from ttg import all_submodules, enumerate_smod, fixed_points, generate
 from ttg.presentation import StructuralError
 from ttg.thick import GenerationCertificate, Provenance, _checked
 
@@ -235,14 +236,16 @@ def monoid_op_by_definition(c, N, N2):
 
 def op_table_by_join(c):
     """(op_table, identity) as ``monoid_report`` built them with one join
-    per unordered pair of fixed points: c^inf(N + N') through ``add`` and
-    ``c.completion.apply``."""
+    per unordered pair of fixed points: c^inf(N + N') through the
+    ``generate`` fixpoint and ``c.completion.apply``, not the principal
+    table lemma K(g) + K(h) = K(g + h) that ``monoid_report`` reads."""
     p = c.presentation
     e = c.completion.apply(p.principals[p.zero])
     points = fixed_points(enumerate_smod(p), c).points
     index = {pt: i for i, pt in enumerate(points)}
     n = len(points)
-    joins = {(i, j): index[c.completion.apply(add(p, points[i], points[j]))]
+    joins = {(i, j): index[c.completion.apply(
+                 generate(p, points[i] | points[j])[0])]
              for i, j in combinations_with_replacement(range(n), 2)}
     op_table = tuple(tuple(joins[min(i, j), max(i, j)] for j in range(n))
                      for i in range(n))

@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from ttg import (all_submodules, basis_properties, c_infinity, chain_model,
-                 classify, division, enumerate_smod, fixed_points, from_family,
+from ttg import (all_submodules, basis_properties, chain_model, classify,
+                 division, enumerate_smod, fixed_points, from_family,
                  generate, identity_operator, monoid_report, radical,
                  spectral_report, support_model, table_operator,
                  ultrafilter_check, validate_family, witnesses)
@@ -154,7 +154,7 @@ def test_criterion_7_c_infinity(support2, chain3, promote):
              (chain3, table_operator(chain3, {m: chain3.principals[m]
                                               for m in range(4)}))]
     for p, c in cases:
-        ci = c_infinity(p, c)
+        ci = c.completion
         for N in all_submodules(p):
             out = ci.apply(N)
             assert c.apply(out) == out

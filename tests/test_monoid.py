@@ -4,9 +4,10 @@ from time import perf_counter
 
 import pytest
 
-from ttg import (add, all_submodules, chain_model, classify, enumerate_smod,
-                 fixed_points, from_family, identity_operator, monoid_report,
-                 radical, support_model, table_operator)
+from ttg import (all_submodules, chain_model, classify, division,
+                 enumerate_smod, fixed_points, from_family, generate,
+                 identity_operator, monoid_report, radical, support_model,
+                 table_operator)
 from ttg.docio import load
 from ttg.presentation import UnknownObjectError
 
@@ -118,7 +119,9 @@ def test_monoid_entry_points_reject_unknown_ids(support2, bad):
     with pytest.raises(UnknownObjectError):
         c.apply({bad})
     with pytest.raises(UnknownObjectError):
-        add(support2, {bad}, full)
+        generate(support2, {bad} | full)
+    with pytest.raises(UnknownObjectError):
+        division(support2, {2, bad})
     if bad != 1.0:  # as a dict key, 1.0 is the key 1
         with pytest.raises(UnknownObjectError):
             table_operator(support2, {**dict(enumerate(support2.principals)),

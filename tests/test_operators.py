@@ -3,10 +3,10 @@ from time import perf_counter
 import pytest
 
 import ttg.thick
-from ttg import (all_submodules, c_infinity, classify, division,
-                 enumerate_smod, fixed_points, fixed_space, from_family,
-                 identity_operator, is_thick, monoid_report, radical,
-                 table_operator, ultrafilter_check, validate_family)
+from ttg import (all_submodules, classify, division, enumerate_smod,
+                 fixed_points, fixed_space, from_family, identity_operator,
+                 is_thick, monoid_report, radical, table_operator,
+                 ultrafilter_check, validate_family)
 from ttg.monoid import MonoidError
 from ttg.operators import (FamilyError, OperatorClassification, OperatorError,
                            OperatorSpec)
@@ -180,7 +180,7 @@ def test_operator_outputs_are_thick(support2, chain3, promote):
 
 
 def test_c_infinity_promote(chain3, promote):
-    ci = c_infinity(chain3, promote)
+    ci = promote.completion
     assert ci.apply(frozenset({0, 1})) == full(chain3)
     cls = classify(chain3, ci)
     assert (cls.extensive, cls.order_preserving, cls.idempotent,
@@ -189,13 +189,13 @@ def test_c_infinity_promote(chain3, promote):
 
 def test_c_infinity_of_idempotent_is_pointwise_equal(support2):
     c = from_family(support2, [frozenset({0}), full(support2)])
-    ci = c_infinity(support2, c)
+    ci = c.completion
     for N in all_submodules(support2):
         assert ci.apply(N) == c.apply(N)
 
 
 def test_c_infinity_matches_direct_iteration(chain3, promote):
-    ci = c_infinity(chain3, promote)
+    ci = promote.completion
     for N in all_submodules(chain3):
         assert ci.apply(N) == iterate_operator(promote, N)
         assert ci.apply(N) == ci.apply(promote.apply(N))
@@ -207,14 +207,14 @@ def test_c_infinity_requires_gate(support2):
         "table", support2,
         tuple(frozenset({0}) for _ in range(support2.n_objects)))
     with pytest.raises(OperatorError):
-        c_infinity(support2, bad)
+        bad.completion
     with pytest.raises(MonoidError, match="^operator does not pass the gate: "
                        "c-infinity requires extensive$"):
         monoid_report(bad)
 
 
 def test_c_infinity_gate_matches_classify(operator_cases):
-    """c_infinity reads its gate from ``c.classification``, the value
+    """c.completion reads its gate from ``c.classification``, the value
     classify returns; it raises exactly where that gate is False, naming
     the first failing condition: extensive, then SMod-valued.
     monoid_report passes that name on."""
@@ -224,10 +224,10 @@ def test_c_infinity_gate_matches_classify(operator_cases):
         cls = classify(p, c)
         if cls.gate:
             gated += 1
-            c_infinity(p, c)
+            c.completion
         else:
             with pytest.raises(OperatorError) as err:
-                c_infinity(p, c)
+                c.completion
             condition = "extensive" if not cls.extensive else "SMod-valued"
             assert str(err.value) == "c-infinity requires " + condition
             with pytest.raises(MonoidError) as err:
@@ -239,10 +239,10 @@ def test_c_infinity_gate_matches_classify(operator_cases):
 
 def test_c_infinity_applies_c_to_no_point_after_classify(operator_cases,
                                                         monkeypatch):
-    """classify and c_infinity read c at the points from one table, and
+    """classify and c.completion read c at the points from one table, and
     past the gate every value is a point of that table, so classify
-    applies c once per point, in point order, and c_infinity applies c to
-    nothing after classify."""
+    applies c once per point, in point order, and c.completion applies c
+    to nothing after classify."""
     calls = []
     apply = OperatorSpec.apply
 
@@ -260,38 +260,34 @@ def test_c_infinity_applies_c_to_no_point_after_classify(operator_cases,
             assert calls == list(all_submodules(p))
             gated += 1
             calls.clear()
-            c_infinity(p, c)
+            c.completion
             assert calls == []
     assert gated > 30
 
 
 def test_verdicts_follow_c_not_a_stray_p(support2, chain3):
-    """``p`` is c's presentation and is not read: classify and c_infinity
-    give c's own verdicts next to another presentation, and c^inf is built
-    on c's presentation."""
+    """``p`` is c's presentation and is not read: classify gives c's own
+    verdicts next to another presentation."""
     c = identity_operator(support2)
     assert tuple(classify(chain3, c)) == classify_by_definition(support2, c)
-    ci = c_infinity(chain3, c)
-    assert ci == c_infinity(support2, identity_operator(support2))
-    assert ci.presentation is support2
 
 
 def test_gate_is_read_from_the_classification(support2):
-    """c_infinity and monoid_report decide no gate of their own: a failing
+    """c.completion and monoid_report decide no gate of their own: a failing
     classification seeded into a copy of the identity stops both."""
     c = identity_operator(support2)._replace()
     c.__dict__["classification"] = OperatorClassification(
         extensive=False, order_preserving=True, idempotent=True,
         finite_type=True, smod_valued=True)
     with pytest.raises(OperatorError, match="^c-infinity requires extensive$"):
-        c_infinity(support2, c)
+        c.completion
     with pytest.raises(MonoidError, match="^operator does not pass the gate: "
                        "c-infinity requires extensive$"):
         monoid_report(c)
 
 
 def test_no_thick_closure_after_classify(operator_cases, monkeypatch):
-    """Past classify, c_infinity and the ultrafilter check on SMod^c read
+    """Past classify, c.completion and the ultrafilter check on SMod^c read
     the gate and every thickness from tables, so on a gated operator they
     take no thick closure: each ``_closure`` goes through
     ``thick._generator``."""
@@ -310,7 +306,7 @@ def test_no_thick_closure_after_classify(operator_cases, monkeypatch):
         if classify(p, c).gate:
             gated += 1
             calls.clear()
-            c_infinity(p, c)
+            c.completion
             ultrafilter_check(fixed_space(c), c)
             assert calls == []
     assert gated > 30
@@ -327,7 +323,7 @@ def test_gate_rejects_operator_leaving_smod(support2):
     assert cls.extensive and not cls.smod_valued and not cls.gate
     assert ("smod_valued", (z,)) in cls.witnesses
     with pytest.raises(OperatorError, match="^c-infinity requires SMod-valued$"):
-        c_infinity(support2, c)
+        c.completion
     with pytest.raises(MonoidError, match="^operator does not pass the gate: "
                        "c-infinity requires SMod-valued$"):
         monoid_report(c)

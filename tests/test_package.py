@@ -90,9 +90,10 @@ def test_public_names_are_their_home_modules_objects():
 
 # Second routes to a fact another route decides: monoid_report gives the
 # cells and the identity, p.principals gives K(m), p.decompositions the
-# summands, and generate records the bar and delta steps.
+# summands, generate records the bar and delta steps, c.completion gives
+# c^inf, and generate or monoid_report gives the join.
 RETIRED = ("monoid_op", "identity_element", "_require_fixed", "bar", "delta",
-           "principal", "summands")
+           "principal", "summands", "c_infinity", "add")
 
 
 def _top_level_names(path):

@@ -3,10 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttg import (add, generate, is_thick, spectral_report, support_model,
-                 witnesses)
+from ttg import generate, is_thick, spectral_report, support_model, witnesses
 from ttg.presentation import chain_model
 from ttg.space import SModSpace
+from ttg.thick import _closure
 
 from conftest import bar, delta
 from oracles import minimal_thick_superset, spectral_by_definition
@@ -59,10 +59,10 @@ def test_witnesses_are_seeds_that_regenerate(X):
 def test_add_is_join(X, Y):
     N, _ = generate(SUPPORT3, X)
     N2, _ = generate(SUPPORT3, Y)
-    joined = add(SUPPORT3, N, N2)
+    joined = _closure(SUPPORT3, N | N2)
     assert N | N2 <= joined
-    assert joined == add(SUPPORT3, N2, N)
-    assert add(SUPPORT3, N, N) == N
+    assert joined == minimal_thick_superset(SUPPORT3, N2 | N)
+    assert _closure(SUPPORT3, N | N) == N
 
 
 @given(st.integers(0, SUPPORT3.n_objects - 1))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ttg import (add, all_submodules, chain_model, enumerate_smod, generate,
+from ttg import (all_submodules, chain_model, enumerate_smod, generate,
                  identity_operator, is_thick, monoid_report, self_module,
                  support_model, validate, witnesses)
 from ttg.presentation import (UnknownObjectError, is_self_module,
@@ -295,18 +295,22 @@ def test_witnesses_outside_submodule(support2):
 
 
 def test_add_examples(support2, chain3):
+    """N + N', the thick closure of N | N', on hand-checked pairs."""
     z, a, b, t = range(4)
-    assert add(support2, frozenset({z, a}), frozenset({z, b})) == {z, a, b, t}
-    assert add(support2, frozenset({z, a}), frozenset({z})) == {z, a}
-    assert add(chain3, frozenset({0, 1}), frozenset({0, 1, 2})) == {0, 1, 2}
+    for p, N, N2, joined in ((support2, {z, a}, {z, b}, {z, a, b, t}),
+                             (support2, {z, a}, {z}, {z, a}),
+                             (chain3, {0, 1}, {0, 1, 2}, {0, 1, 2})):
+        X = frozenset(N | N2)
+        assert _closure(p, X) == joined == minimal_thick_superset(p, X)
 
 
 def test_add_commutative_idempotent(support2):
     subs = all_submodules(support2)
     for N in subs:
-        assert add(support2, N, N) == N
+        assert _closure(support2, N | N) == N
         for N2 in subs:
-            assert add(support2, N, N2) == add(support2, N2, N)
+            assert (_closure(support2, N | N2)
+                    == minimal_thick_superset(support2, N2 | N))
 
 
 def test_all_submodules_matches_brute_force(support2, support3, chain3):
@@ -334,15 +338,15 @@ def test_finite_principality(support2, support3, chain3, graded2):
         for m in sorted(N):
             total = support3.sum[total][m]
         assert support3.principals[total] == N
-    # so is the closure of any set, which add reads from the principal table
+    # so is the closure of any set, which _closure reads from the table
     for p in (support2, chain3, support3):
         for X in all_subsets(range(p.n_objects)):
-            assert add(p, X, ()) == generate(p, X)[0]
+            assert _closure(p, X) == generate(p, X)[0]
     rng = random.Random(5)
     for p in (support_model(4), chain_model(10), graded2):
         for _ in range(200):
             X = rng.sample(range(p.n_objects), rng.randint(0, p.n_objects))
-            assert add(p, X, ()) == generate(p, X)[0]
+            assert _closure(p, X) == generate(p, X)[0]
 
 
 def test_principal_table_matches_oracle(support2, support3, chain3, graded2,
