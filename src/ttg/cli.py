@@ -8,7 +8,6 @@ when every verdict passes, 1 on check failures, 2 on usage or parse errors.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -228,7 +227,7 @@ def _run(args):
         report["digest"] = model_digest(doc)
     report["command"] = args.command
     if args.out:
-        _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write(args.out, docio.dump_document(report))
     for line in lines:
         print(line)
     return 0 if report["passed"] else 1

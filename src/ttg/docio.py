@@ -57,8 +57,9 @@ def _table(rows, resolve, n_rows, n_cols, what):
 
 
 def _section(sec, where, keys, max_objects):
-    """Names, resolver, translation and rotation-closed triangles of a
-    category or module section, after checking the shape of each value."""
+    """The resolver of a category or module section and the fields the two
+    share: names, zero, translation and rotation-closed triangles, after
+    checking the shape of each value."""
     _dict(sec, where + " section")
     for key in ("objects", "zero", "sum", "translate", "triangles") + keys:
         if key not in sec:
@@ -88,41 +89,9 @@ def _section(sec, where, keys, max_objects):
             if not isinstance(t, list) or len(t) != 3:
                 raise DocumentError("%s triangle %r must have 3 entries" % (where, t))
             triangles.add(tuple(resolve(v) for v in t))
-    return names, resolve, translate, rotation_closure(triangles, translate)
-
-
-def _category_from_doc(sec, max_objects):
-    names, resolve, translate, triangles = _section(
-        sec, "category", ("unit", "tensor"), max_objects)
-    n = len(names)
-    return CategoryPresentation(
-        names=names,
-        zero=resolve(sec["zero"]),
-        unit=resolve(sec["unit"]),
-        sum=_table(sec["sum"], resolve, n, n, "sum"),
-        tensor=_table(sec["tensor"], resolve, n, n, "tensor"),
-        translate=translate,
-        triangles=triangles,
-    )
-
-
-def _module_from_doc(sec, base, max_objects):
-    names, resolve, translate, triangles = _section(
-        sec, "module", ("action",), max_objects)
-    n = len(names)
-    return ModulePresentation(
-        base=base,
-        names=names,
-        zero=resolve(sec["zero"]),
-        sum=_table(sec["sum"], resolve, n, n, "module sum"),
-        translate=translate,
-        triangles=triangles,
-        action=_table(sec["action"], resolve, base.n_objects, n, "action"),
-    )
-
-
-_NEEDS = {"identity": None, "radical": None, "division": "s",
-          "family": "members", "table": "table"}
+    triangles = rotation_closure(triangles, translate)
+    return resolve, dict(names=names, zero=resolve(sec["zero"]),
+                         translate=translate, triangles=triangles)
 
 
 def _build_operator(p, name, spec):
@@ -138,30 +107,28 @@ def _build_operator(p, name, spec):
     def ids(value, part):
         return frozenset(resolve(v) for v in _list(value, "%s %s" % (what, part)))
 
+    kinds = {"identity": (identity_operator, None), "radical": (radical, None),
+             "division": (division, "s"), "family": (from_family, "members"),
+             "table": (table_operator, "table")}
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _NEEDS:
+    if not isinstance(kind, str) or kind not in kinds:
         raise DocumentError("%s has unknown kind %r" % (what, kind))
-    needs = _NEEDS[kind]
+    build, needs = kinds[kind]
     if needs and needs not in spec:
         raise DocumentError("%s of kind %r needs %r" % (what, kind, needs))
     # Every key present is read, used by the kind or not, because
     # normalize_document keeps and sorts each of them.
-    s = ids(spec["s"], "s") if "s" in spec else None
-    members = ([ids(f, "member") for f in _list(spec["members"], what + " members")]
-               if "members" in spec else None)
-    table = ({resolve(m): ids(vals, "entry")
-              for m, vals in _dict(spec["table"], what + " table").items()}
-             if "table" in spec else None)
+    args = {}
+    if "s" in spec:
+        args["s"] = ids(spec["s"], "s")
+    if "members" in spec:
+        args["members"] = [ids(f, "member")
+                           for f in _list(spec["members"], what + " members")]
+    if "table" in spec:
+        args["table"] = {resolve(m): ids(vals, "entry")
+                         for m, vals in _dict(spec["table"], what + " table").items()}
     try:
-        if kind == "identity":
-            return identity_operator(p)
-        if kind == "radical":
-            return radical(p)
-        if kind == "division":
-            return division(p, s)
-        if kind == "family":
-            return from_family(p, members)
-        return table_operator(p, table)
+        return build(p, args[needs]) if needs else build(p)
     except OperatorError as exc:
         raise DocumentError("%s: %s" % (what, exc))
 
@@ -171,11 +138,21 @@ def load_document(doc, max_objects=MAX_OBJECTS_DEFAULT):
     _dict(doc, "document")
     if "category" not in doc:
         raise DocumentError("document has no 'category' section")
-    cat = _category_from_doc(doc["category"], max_objects)
-    if "module" in doc:
-        p = _module_from_doc(doc["module"], cat, max_objects)
-    else:
+    sec = doc["category"]
+    resolve, fields = _section(sec, "category", ("unit", "tensor"), max_objects)
+    n = len(fields["names"])
+    cat = CategoryPresentation(
+        unit=resolve(sec["unit"]), sum=_table(sec["sum"], resolve, n, n, "sum"),
+        tensor=_table(sec["tensor"], resolve, n, n, "tensor"), **fields)
+    if "module" not in doc:
         p = self_module(cat)
+    else:
+        sec = doc["module"]
+        resolve, fields = _section(sec, "module", ("action",), max_objects)
+        n = len(fields["names"])
+        p = ModulePresentation(
+            base=cat, sum=_table(sec["sum"], resolve, n, n, "module sum"),
+            action=_table(sec["action"], resolve, cat.n_objects, n, "action"), **fields)
     report = validate(p)
     if not report.ok:
         raise ModelInvalidError(["%s: %s witness=%r" % (v.rule, v.message, v.witness)

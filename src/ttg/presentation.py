@@ -77,7 +77,7 @@ class ModulePresentation(namedtuple(
         return self.names[x]
 
     def check_object(self, x):
-        if not isinstance(x, int) or not (0 <= x < len(self.names)):
+        if type(x) is not int or not (0 <= x < len(self.names)):
             raise UnknownObjectError("unknown module object id: %r" % (x,))
 
     @cached_property
@@ -452,10 +452,7 @@ def self_module(cat):
 
 def is_self_module(p):
     """True iff the module tables are exactly K acting on itself by tensor."""
-    c = p.base
-    return (p.names == c.names and p.zero == c.zero and p.sum == c.sum
-            and p.translate == c.translate and p.triangles == c.triangles
-            and p.action == c.tensor)
+    return p == self_module(p.base)
 
 
 def _subset_names(n):

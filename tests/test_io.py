@@ -346,6 +346,56 @@ def test_cli_malformed_document_exits_2(models_dir, tmp_path, capsys, case):
         assert err == "error: %s\n" % _ERROR_LINES[case]
 
 
+_DROP = object()  # an edit value that deletes its key
+
+# Faults in a restrict2 document, which has both sections: the edits, each
+# (section, key, new value), and the error line they must give.  The cases
+# with two edits pin which fault the loader names first.
+_MODULE_ERROR_LINES = {
+    "module-without-action": ([("module", "action", _DROP)],
+                              "module section missing 'action'"),
+    "module-number-object-name": ([("module", "objects", ["z", 5])],
+                                  "module object names must be strings"),
+    "module-duplicate-object-name": ([("module", "objects", ["z", "z"])],
+                                     "duplicate object names in module"),
+    "module-short-translate": ([("module", "translate", ["z"])],
+                               "module translate must be a list of 2 entries"),
+    "module-two-entry-triangle": ([("module", "triangles", [["z", "z"]])],
+                                  "module triangle ['z', 'z'] must have 3 entries"),
+    "module-unknown-zero": ([("module", "zero", "nope")],
+                            "unknown object name 'nope' in module"),
+    "module-short-sum-row": ([("module", "sum", [["z"], ["m1", "m1"]])],
+                             "module sum table row must be a list of 2 entries"),
+    "short-action-row": ([("module", "action", [["z"]] + [["z", "z"]] * 3)],
+                         "action table row must be a list of 2 entries"),
+    "unknown-unit-and-short-sum-row": (
+        [("category", "unit", "nope"), ("category", "sum", [["z"]] * 4)],
+        "unknown object name 'nope' in category"),
+    "module-unknown-zero-and-short-sum-row": (
+        [("module", "zero", "nope"), ("module", "sum", [["z"], ["m1", "m1"]])],
+        "unknown object name 'nope' in module"),
+    "module-short-sum-row-and-short-action-row": (
+        [("module", "sum", [["z"], ["m1", "m1"]]),
+         ("module", "action", [["z"]] + [["z", "z"]] * 3)],
+        "module sum table row must be a list of 2 entries"),
+}
+
+
+@pytest.mark.parametrize("case", _MODULE_ERROR_LINES)
+def test_cli_module_document_error_lines(tmp_path, capsys, case):
+    doc = normalize_document({"category": {}, "module": {}}, restriction_module(2, 1))
+    edits, line = _MODULE_ERROR_LINES[case]
+    for section, key, value in edits:
+        if value is _DROP:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % line
+
+
 def test_load_identity_kind_under_another_name(models_dir):
     with open(model_path(models_dir, "support2")) as fh:
         doc = json.load(fh)

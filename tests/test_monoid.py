@@ -112,17 +112,18 @@ def test_monoid_operation_idempotent(chain3, promote):
     assert rep.idempotent
 
 
-@pytest.mark.parametrize("bad", [99, -1, "a", 1.0])
+@pytest.mark.parametrize("bad", [99, -1, "a", 1.0, True])
 def test_monoid_entry_points_reject_unknown_ids(support2, bad):
     c = identity_operator(support2)
     full = frozenset(range(4))
     with pytest.raises(UnknownObjectError):
         c.apply({bad})
-    with pytest.raises(UnknownObjectError):
-        generate(support2, {bad} | full)
+    for seed in ({bad}, {bad} | full):
+        with pytest.raises(UnknownObjectError):
+            generate(support2, seed)
     with pytest.raises(UnknownObjectError):
         division(support2, {2, bad})
-    if bad != 1.0:  # as a dict key, 1.0 is the key 1
+    if bad != 1:  # as a dict key, 1.0 or True is the key 1
         with pytest.raises(UnknownObjectError):
             table_operator(support2, {**dict(enumerate(support2.principals)),
                                       bad: full})
