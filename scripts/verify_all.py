@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the full verification report over every shipped model."""
 
+import glob
 import os
 import sys
 
@@ -8,15 +9,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ttg.cli import main
 
-MODELS = ("support2", "support3", "chain3")
+MODELS_DIR = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
 def run():
-    models_dir = os.path.join(os.path.dirname(__file__), "..", "models")
     status = 0
-    for name in MODELS:
-        path = os.path.join(models_dir, name + ".json")
-        print("== %s ==" % name)
+    for path in sorted(glob.glob(os.path.join(MODELS_DIR, "*.json"))):
+        print("== %s ==" % os.path.splitext(os.path.basename(path))[0])
         status = max(status, main(["report", "--model", path]))
     return status
 

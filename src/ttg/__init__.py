@@ -13,9 +13,9 @@ _EXPORTS = {
                      "self_module", "support_model", "validate"),
     "thick": ("GenerationCertificate", "all_submodules", "generate",
               "is_thick", "witnesses"),
-    "operators": ("FamilySpec", "OperatorSpec", "classify", "division",
-                  "from_family", "identity_operator", "radical",
-                  "table_operator", "validate_family"),
+    "operators": ("OperatorSpec", "classify", "division", "from_family",
+                  "identity_operator", "radical", "table_operator",
+                  "validate_family"),
     "space": ("SModSpace", "basis_properties", "enumerate_smod", "fixed_points",
               "fixed_space", "spectral_report", "ultrafilter_check"),
     "monoid": ("monoid_report",),

@@ -14,7 +14,7 @@ import sys
 from . import docio
 from .docio import (DocumentError, ModelInvalidError, model_digest, monoid_dot,
                     specialization_dot)
-from .monoid import MonoidError, monoid_report
+from .monoid import monoid_report
 from .operators import OperatorError, classify, identity_operator
 from .presentation import MAX_OBJECTS_DEFAULT, PresentationError
 from .space import (basis_properties, enumerate_smod, fixed_space,
@@ -243,7 +243,7 @@ def main(argv=None):
     except (DocumentError, PresentationError, GenerationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (OperatorError, MonoidError) as exc:
+    except OperatorError as exc:
         print("check error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -15,15 +15,16 @@ from .presentation import (MAX_OBJECTS_DEFAULT, CategoryPresentation,
 
 
 class DocumentError(Exception):
-    def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
-        self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
+    pass
 
 
 class ModelInvalidError(DocumentError):
-    """The document parsed but the presentation violates axioms."""
+    """The document parsed but the presentation violates axioms: one
+    message per violation in ``messages``, joined by "; " in the text."""
+
+    def __init__(self, messages):
+        self.messages = list(messages)
+        super().__init__("; ".join(self.messages))
 
 
 def _resolver(names, where):

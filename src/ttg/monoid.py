@@ -19,10 +19,6 @@ from .space import fixed_space
 from .thick import _generator
 
 
-class MonoidError(Exception):
-    pass
-
-
 class MonoidReport(namedtuple(
         "MonoidReport",
         "space op_table identity closed commutative associative neutral "
@@ -56,7 +52,7 @@ def monoid_report(c):
     fixed point, and a point because c is SMod-valued.  A fixed point N is
     K(g_N), and iterating c from N stops at once, so N = ``table[g_N]``.
 
-    Raises MonoidError, naming the failing condition, when c fails the
+    Raises OperatorError, naming the failing condition, when c fails the
     gate.  Otherwise, on a presentation that passes ``validate``, each flag
     is a theorem, and ``witnesses`` is empty:
 
@@ -86,7 +82,7 @@ def monoid_report(c):
     try:
         table = c.completion.principal_table
     except OperatorError as exc:
-        raise MonoidError("operator does not pass the gate: %s" % exc) from None
+        raise OperatorError("operator does not pass the gate: %s" % exc) from None
     space = fixed_space(c)
     index = {pt: i for i, pt in enumerate(space.points)}
     gens = [_generator(p, pt) for pt in space.points]

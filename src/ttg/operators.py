@@ -133,14 +133,6 @@ class OperatorClassification(namedtuple(
                 and self.smod_valued)
 
 
-class FamilySpec(namedtuple("FamilySpec", "members")):
-    """A collection of thick submodules required to contain the full module
-    and to be closed under intersections and directed unions.  ``members``
-    is a frozenset of frozensets of object ids."""
-
-    __slots__ = ()
-
-
 def identity_operator(p):
     return OperatorSpec("identity", p, p.principals)
 
@@ -180,7 +172,7 @@ def division(p, S):
             if cat.tensor[s][s2] not in S:
                 raise OperatorError(
                     "S is not multiplicatively closed: %s tensor %s escapes"
-                    % (p.object_name(s), p.object_name(s2)))
+                    % (p.names[s], p.names[s2]))
     table = tuple(frozenset(a for a in range(p.n_objects)
                             if any(cat.tensor[a][s] in ideal for s in S))
                   for ideal in p.principals)
@@ -188,7 +180,8 @@ def division(p, S):
 
 
 def validate_family(p, members):
-    """Check the two family conditions plus presence of the full module.
+    """Check the two family conditions plus presence of the full module,
+    and return the members as a frozenset of frozensets of object ids.
 
     Raises FamilyError naming the violated condition with witnesses.
     Closure under directed unions needs no check: a finite directed
@@ -207,20 +200,20 @@ def validate_family(p, members):
         if f1 & f2 not in members:
             raise FamilyError("intersection", (tuple(sorted(f1)), tuple(sorted(f2))),
                               "family not closed under intersection")
-    return FamilySpec(members)
+    return members
 
 
 def from_family(p, family):
     """Closure operator whose fixed points are exactly the given family.
 
-    The principal value at m is the intersection of all family members
-    containing m; general evaluation is the union of principals.
+    The family is checked by ``validate_family`` first.  The principal
+    value at m is the intersection of all family members containing m;
+    general evaluation is the union of principals.
     """
-    if not isinstance(family, FamilySpec):
-        family = validate_family(p, family)
+    family = validate_family(p, family)
     table = []
     for m in range(p.n_objects):
-        containing = [f for f in family.members if m in f]
+        containing = [f for f in family if m in f]
         inter = frozenset.intersection(*containing)
         table.append(inter)
     return OperatorSpec("family", p, tuple(table))
@@ -236,15 +229,14 @@ def table_operator(p, table):
     tab = []
     for m in range(p.n_objects):
         if m not in table:
-            raise OperatorError("principal table missing object %s" % p.object_name(m))
+            raise OperatorError("principal table missing object %s" % p.names[m])
         val = frozenset(table[m])
         check = is_thick(p, val)
         if not check:
             raise OperatorError("table value at %s is not thick (%s)"
-                                % (p.object_name(m), check.condition))
+                                % (p.names[m], check.condition))
         if m not in val:
-            raise OperatorError("table value at %s does not contain it"
-                                % p.object_name(m))
+            raise OperatorError("table value at %s does not contain it" % p.names[m])
         tab.append(val)
     return OperatorSpec("table", p, tuple(tab), repair=True)
 

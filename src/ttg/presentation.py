@@ -73,9 +73,6 @@ class ModulePresentation(namedtuple(
     def n_objects(self):
         return len(self.names)
 
-    def object_name(self, x):
-        return self.names[x]
-
     def check_object(self, x):
         if type(x) is not int or not (0 <= x < len(self.names)):
             raise UnknownObjectError("unknown module object id: %r" % (x,))

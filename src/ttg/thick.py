@@ -181,10 +181,10 @@ def witnesses(cert, m, X):
     """Finite witness set: provenance-tree leaves of m intersected with X.
 
     Returns W with m in generate(p, W); minimal along the recorded tree,
-    not globally minimal.
+    not globally minimal.  An m that is not an int member id raises.
     """
     X = frozenset(X)
-    if m not in cert.records:
+    if type(m) is not int or m not in cert.records:
         raise GenerationError("object %r is not in the generated submodule" % (m,))
     leaves = set()
     seen = set()

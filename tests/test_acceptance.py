@@ -45,7 +45,7 @@ def _shipped_operators(p, promote_table):
             fam = validate_family(p, F)
         except FamilyError:
             continue
-        ops.append(("family(%d members)" % len(fam.members), from_family(p, fam)))
+        ops.append(("family(%d members)" % len(fam), from_family(p, fam)))
     ops.append(("promote", table_operator(p, promote_table)))
     return ops
 
@@ -106,7 +106,7 @@ def test_criterion_4_family_round_trip(support2, chain3, promote):
         n_valid += 1
         c = from_family(support2, fam)
         fixed = frozenset(N for N in subs if c.apply(N) == N)
-        assert fixed == fam.members
+        assert fixed == fam
     assert n_valid >= 2
     for p, c in [(support2, identity_operator(support2)),
                  (support2, radical(support2)),

@@ -7,7 +7,6 @@ from ttg import (all_submodules, classify, division, enumerate_smod,
                  fixed_points, fixed_space, from_family, identity_operator,
                  is_thick, monoid_report, radical, table_operator,
                  ultrafilter_check, validate_family)
-from ttg.monoid import MonoidError
 from ttg.operators import (FamilyError, OperatorClassification, OperatorError,
                            OperatorSpec)
 from ttg.presentation import support_model
@@ -117,6 +116,10 @@ def test_family_requires_full_module(support2):
     with pytest.raises(FamilyError) as err:
         validate_family(support2, [frozenset({z, a}), frozenset({z, b})])
     assert err.value.condition == "full-module"
+    # from_family checks a family of validate_family's own type too
+    with pytest.raises(FamilyError) as err:
+        from_family(support2, frozenset({frozenset({z})}))
+    assert err.value.condition == "full-module"
 
 
 def test_family_intersection_violation(support2):
@@ -208,7 +211,7 @@ def test_c_infinity_requires_gate(support2):
         tuple(frozenset({0}) for _ in range(support2.n_objects)))
     with pytest.raises(OperatorError):
         bad.completion
-    with pytest.raises(MonoidError, match="^operator does not pass the gate: "
+    with pytest.raises(OperatorError, match="^operator does not pass the gate: "
                        "c-infinity requires extensive$"):
         monoid_report(bad)
 
@@ -230,7 +233,7 @@ def test_c_infinity_gate_matches_classify(operator_cases):
                 c.completion
             condition = "extensive" if not cls.extensive else "SMod-valued"
             assert str(err.value) == "c-infinity requires " + condition
-            with pytest.raises(MonoidError) as err:
+            with pytest.raises(OperatorError) as err:
                 monoid_report(c)
             assert str(err.value) == ("operator does not pass the gate: "
                                       "c-infinity requires " + condition)
@@ -281,7 +284,7 @@ def test_gate_is_read_from_the_classification(support2):
         finite_type=True, smod_valued=True)
     with pytest.raises(OperatorError, match="^c-infinity requires extensive$"):
         c.completion
-    with pytest.raises(MonoidError, match="^operator does not pass the gate: "
+    with pytest.raises(OperatorError, match="^operator does not pass the gate: "
                        "c-infinity requires extensive$"):
         monoid_report(c)
 
@@ -324,7 +327,7 @@ def test_gate_rejects_operator_leaving_smod(support2):
     assert ("smod_valued", (z,)) in cls.witnesses
     with pytest.raises(OperatorError, match="^c-infinity requires SMod-valued$"):
         c.completion
-    with pytest.raises(MonoidError, match="^operator does not pass the gate: "
+    with pytest.raises(OperatorError, match="^operator does not pass the gate: "
                        "c-infinity requires SMod-valued$"):
         monoid_report(c)
     space = fixed_points(enumerate_smod(support2), c)
@@ -382,7 +385,7 @@ def test_validate_family_of_all_support4_submodules():
     started = perf_counter()
     family = validate_family(p, subs)
     assert perf_counter() - started < 2
-    assert family.members == frozenset(subs) and len(subs) == 16
+    assert family == frozenset(subs) and len(subs) == 16
 
 
 def test_classify_matches_definition(operator_cases):

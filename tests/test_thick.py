@@ -296,6 +296,24 @@ def test_witnesses_outside_submodule(support2):
         witnesses(cert, 3, set())
 
 
+@pytest.mark.parametrize("target", [True, 1.0])
+def test_witnesses_reject_a_target_that_is_not_an_int_id(support2, target):
+    # True == 1.0 == 1, the id of a, which {a, b} generates
+    _, cert = generate(support2, {1, 2})
+    with pytest.raises(GenerationError, match="is not in the generated submodule"):
+        witnesses(cert, target, {1, 2})
+
+
+def test_witnesses_visit_a_shared_ancestor_once(glued):
+    # t comes from (a, b) and b from (a, z): the walk from t reaches a twice
+    z, a, b, t = range(4)
+    members, cert = generate(glued, {a})
+    assert t in members
+    assert cert.records[t].data[1:] == (a, b)
+    assert cert.records[b].data[1:] == (a, z)
+    assert witnesses(cert, t, {a}) == {a}
+
+
 def test_add_examples(support2, chain3):
     """N + N', the thick closure of N | N', on hand-checked pairs."""
     z, a, b, t = range(4)
