@@ -9,7 +9,7 @@ share.
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import chain, compress, permutations
 from operator import and_, itemgetter, ne, or_
 
 
@@ -50,7 +50,7 @@ class CategoryPresentation(namedtuple(
         return len(self.names)
 
 
-MaskTable = namedtuple("MaskTable", "orbit act parts pair")
+MaskTable = namedtuple("MaskTable", "act parts pair")
 
 
 class ModulePresentation(namedtuple(
@@ -103,23 +103,18 @@ class ModulePresentation(namedtuple(
 
     @cached_property
     def masks(self):
-        """The closure rules as ``int`` bitmask rows, a set of objects being
-        the mask with bit x set for each member x:
+        """The conditions of ``thick.is_thick`` as ``int`` bitmask rows, a
+        set of objects being the mask with bit x set for each member x:
 
-        - ``orbit[y]``: the summands of every a * y, the bar rule of
-          ``thick.generate``;
         - ``act[m]``: every a * m;
         - ``parts[x]``: both terms of every sum equal to x;
         - ``pair[y][x]``: the third entries of the stored triangles that
-          hold x and y in two positions, in either order, the delta rule,
-          filled by one pass over the triangles; so ``pair[y][x]`` equals
-          ``pair[x][y]``.
+          hold x and y in two positions, in either order, filled by one
+          pass over the triangles; so ``pair[y][x]`` equals ``pair[x][y]``.
         """
         n = self.n_objects
-        summand = [sum(1 << s for s, _ in pairs) for pairs in self.decompositions]
-        columns = list(zip(*self.action))
-        parts = summand[:]  # the first terms; add the second ones
-        for m2, column in enumerate(zip(*self.sum)):
+        parts = [sum(1 << s for s, _ in pairs) for pairs in self.decompositions]
+        for m2, column in enumerate(zip(*self.sum)):  # add the second terms
             for x in set(column):
                 parts[x] |= 1 << m2
         pair = [[0] * n for _ in range(n)]
@@ -131,26 +126,50 @@ class ModulePresentation(namedtuple(
             pair[a][b] |= 1 << c
             pair[b][a] |= 1 << c
         return MaskTable(
-            orbit=tuple(reduce(or_, map(summand.__getitem__, column))
-                        for column in columns),
-            act=tuple(sum(map((1).__lshift__, set(column))) for column in columns),
+            act=tuple(sum(map((1).__lshift__, set(column)))
+                      for column in zip(*self.action)),
             parts=tuple(parts),
             pair=tuple(map(tuple, pair)))
 
     @cached_property
     def principals(self):
-        """K(m), the principal thick submodule, for every object m.
+        """K(m), the principal thick submodule, for every object m: the
+        least set holding m and zero and closed under the two rules of
+        ``thick.generate``, the orbit of y (the summands of every a * y)
+        and the third entry of a stored triangle with two entries inside.
+        A bitmask worklist applies them once per new member y, paired with
+        every x inside, y included.
 
-        The least set holding m and zero and closed under the two rules of
-        ``thick.generate``, read from ``masks``: the orbit of y for y
-        inside, and the third entry of a stored triangle whose other two
-        entries are inside.  A worklist applies each rule once per new
-        member y, to ``orbit[y]`` and to ``pair[y][x]`` for every x already
-        inside, y included, so no certificate is kept.
+        Where six facts hold it also adds each sum y + x and scans only the
+        triangles outside (x, x + y, y), (x + y, y, Tx), (y, Tx, T(x + y)):
+        (1) each (x, x + y, y) is stored, so the sums add nothing; x + y
+        gives x and y by (2) x + y = y + x and (4) 1 * m = m; x and y give
+        x + y by (2); with (3) m + 0 = m, m gives Tm by (5) T(m) = T(1) * m
+        and Tm gives m by (6) T^-1(1) * T(m) = m, which also makes the row
+        of T^-1(1) the inverse of T.  Else it scans every triangle and adds
+        no sum.  Either way the table equals ``generate(p, {m})``, also
+        where ``validate`` fails.
         """
-        orbit, pair = self.masks.orbit, self.masks.pair
+        s, T, act, k = self.sum, self.translate, self.action, self.base
+        ids, triangles = [*range(self.n_objects)], self.triangles
+        bit = [1 << x for x in ids]
+        summand = [sum(1 << x for x, _ in pairs) for pairs in self.decompositions]
+        orbit = [reduce(or_, map(summand.__getitem__, column)) for column in zip(*act)]
+        back = act[k.translate.index(k.unit)]  # the row of T^-1(1)
+        split = (  # facts 3, 4 and 6, then 5, 2 and 1
+            [row[self.zero] for row in s] == ids == [*act[k.unit]]
+            == [*map(back.__getitem__, T)] and [*T] == [*act[k.translate[k.unit]]]
+            and [*map(tuple, s)] == [*zip(*s)]
+            and triangles.issuperset((x, z, y) for x, row in enumerate(s)
+                                     for y, z in enumerate(row)))
+        if split:
+            triangles = [(a, b, c) for a, b, c in triangles if s[a][c] != b
+                         and s[back[c]][b] != a and T[s[back[b]][a]] != c]
+        thirds = [[] for _ in ids]  # thirds[x]: (y, bit of z) for each x, y -> z
+        for x, y, z in chain.from_iterable(map(permutations, triangles)):
+            thirds[x].append((y, bit[z]))
         table = []
-        for m in range(self.n_objects):
+        for m in ids:
             inside, members = 0, []
             todo = 1 << m | 1 << self.zero
             while todo:
@@ -158,7 +177,13 @@ class ModulePresentation(namedtuple(
                 y = low.bit_length() - 1
                 inside |= low
                 members.append(y)
-                todo |= orbit[y] | reduce(or_, map(pair[y].__getitem__, members))
+                todo |= orbit[y]
+                row = s[y]
+                for x in members if split else ():
+                    todo |= bit[row[x]]
+                for x, third in thirds[y]:
+                    if inside >> x & 1:
+                        todo |= third
                 todo &= ~inside
             table.append(frozenset(members))
         return tuple(table)

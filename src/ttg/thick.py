@@ -181,9 +181,12 @@ def witnesses(cert, m, X):
     """Finite witness set: provenance-tree leaves of m intersected with X.
 
     Returns W with m in generate(p, W); minimal along the recorded tree,
-    not globally minimal.  An m that is not an int member id raises.
+    not globally minimal.  An m that is not an int member id raises, as
+    does an X other than the certificate's seed.
     """
     X = frozenset(X)
+    if X != cert.seed:
+        raise GenerationError("%r is not the seed of the certificate" % (set(X),))
     if type(m) is not int or m not in cert.records:
         raise GenerationError("object %r is not in the generated submodule" % (m,))
     leaves = set()

@@ -119,6 +119,31 @@ def principals_by_worklist(p):
     return tuple(table)
 
 
+def split_facts(p):
+    """The six table facts under which ``p.principals`` adds the sums and
+    reads only the triangles outside ``implied_triangles``, each by a scan
+    of its definition: every split triangle (x, x + y, y) is stored, the
+    sum is commutative, x + 0 = x, 1 * m = m, T(m) = T(1) * m and
+    T^-1(1) * T(m) = m."""
+    k, objs, s, T = p.base, range(p.n_objects), p.sum, p.translate
+    inverse_unit = k.translate.index(k.unit)
+    return (all((x, s[x][y], y) in p.triangles for x in objs for y in objs)
+            and all(s[x][y] == s[y][x] for x in objs for y in objs)
+            and all(s[x][p.zero] == x for x in objs)
+            and all(p.action[k.unit][m] == m for m in objs)
+            and all(T[m] == p.action[k.translate[k.unit]][m] for m in objs)
+            and all(p.action[inverse_unit][T[m]] == m for m in objs))
+
+
+def implied_triangles(p):
+    """The triples (x, x + y, y), (x + y, y, Tx) and (y, Tx, T(x + y)) over
+    every pair of objects x, y: the split triangles and their first two
+    rotations."""
+    T, objs = p.translate, range(p.n_objects)
+    return {t for x in objs for y in objs for xy in (p.sum[x][y],)
+            for t in ((x, xy, y), (xy, y, T[x]), (y, T[x], T[xy]))}
+
+
 def _bar_steps(p, X):
     """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in X.
 

@@ -15,8 +15,8 @@ from ttg.thick import GenerationError, _checked, _closure
 from conftest import (bar, delta, graded_support_model, restriction_module,
                       summands)
 from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
-                     least_cofactor, minimal_thick_superset,
-                     principals_by_worklist, summands_by_scan,
+                     implied_triangles, least_cofactor, minimal_thick_superset,
+                     principals_by_worklist, split_facts, summands_by_scan,
                      thick_by_definition, thick_check_by_scan)
 
 
@@ -296,6 +296,14 @@ def test_witnesses_outside_submodule(support2):
         witnesses(cert, 3, set())
 
 
+@pytest.mark.parametrize("X", [{99}, {1}])
+def test_witnesses_reject_a_set_other_than_the_seed(support2, X):
+    # neither {99} nor {1} regenerates t, which {a, b} generates
+    _, cert = generate(support2, {1, 2})
+    with pytest.raises(GenerationError, match="is not the seed"):
+        witnesses(cert, 3, X)
+
+
 @pytest.mark.parametrize("target", [True, 1.0])
 def test_witnesses_reject_a_target_that_is_not_an_int_id(support2, target):
     # True == 1.0 == 1, the id of a, which {a, b} generates
@@ -431,6 +439,89 @@ def test_principal_table_matches_worklist_off_validate(support3):
         p = self_module(support3.base._replace(translate=translate,
                                             triangles=kept))
         assert p.principals == principals_by_worklist(p), (translate, sorted(kept))
+
+
+def _one_edit(p, rng):
+    """p with one seeded edit, as (kind, presentation): a sum or action
+    cell (the tensor, when K acts on itself), two entries of T swapped, a
+    stored triangle dropped, or the rotations of a seeded triple added."""
+    own = is_self_module(p)
+    sec, n = (p.base if own else p), p.n_objects
+
+    def edit(**fields):
+        return self_module(p.base._replace(**fields)) if own else p._replace(**fields)
+
+    kind = rng.choice(["sum", "action", "translate", "drop", "orbit"])
+    if kind == "sum":
+        return kind, edit(sum=_edit_cell(sec.sum, n, rng))
+    if kind == "action":
+        name = "tensor" if own else "action"
+        return kind, edit(**{name: _edit_cell(getattr(sec, name), n, rng)})
+    if kind == "translate":
+        T = list(sec.translate)
+        i, j = rng.sample(range(n), 2)
+        T[i], T[j] = T[j], T[i]
+        return kind, edit(translate=tuple(T))
+    if kind == "drop":
+        return kind, edit(triangles=sec.triangles - {rng.choice(sorted(sec.triangles))})
+    triple = tuple(rng.randrange(n) for _ in range(3))
+    return kind, edit(triangles=sec.triangles | rotation_closure({triple}, sec.translate))
+
+
+def test_principal_table_reads_only_the_extra_triangles(
+        support2, support3, chain3, graded2, restrict2, downsets, split_probe,
+        glued, one_way):
+    """The table against the frozenset worklist, which scans every stored
+    triangle and adds no sums, on models where the six facts of
+    ``principals`` hold and on models where one fails."""
+    z, a, b, t = range(4)
+    probe_azb = self_module(split_probe.base._replace(
+        triangles=split_probe.triangles | rotation_closure({(a, z, b)},
+                                                           split_probe.translate)))
+    graded3 = graded_support_model(3)
+    facts = {}
+    for p in (support2, support3, chain3, graded2, restrict2, downsets,
+              split_probe, glued, one_way, probe_azb, graded3,
+              restriction_module(3, 2)):
+        assert p.principals == principals_by_worklist(p), p.names
+        facts[p] = split_facts(p)
+    assert not facts[split_probe] and not facts[probe_azb] and not facts[one_way]
+    assert all(facts[p] for p in (support2, support3, chain3, graded2, restrict2,
+                                  downsets, glued, graded3))
+    # glued's extra triangles are exactly the rotations of (a, z, b)
+    assert glued.triangles - implied_triangles(glued) == rotation_closure(
+        {(a, z, b)}, glued.translate)
+    # T != id: the stored rotations (x + y, y, Tx) and (y, Tx, T(x + y))
+    # are not split triples, and each is implied
+    for p in (graded2, graded3):
+        rotated = {(u, v, w) for u, v, w in p.triangles if p.sum[u][w] != v}
+        assert p.translate != tuple(range(p.n_objects))
+        assert rotated and rotated <= implied_triangles(p)
+
+    rng = random.Random(28)
+    outcomes = set()
+    for p in (support2, chain3, graded2, restrict2, glued):
+        for _ in range(220):
+            kind, q = _one_edit(p, rng)
+            assert q.principals == principals_by_worklist(q), (kind, q.names)
+            holds = split_facts(q)
+            outcomes.add((kind, holds, holds and bool(q.triangles - implied_triangles(q))))
+    # both branches run, and the narrowed scan meets extra triangles
+    assert {holds for _, holds, _ in outcomes} == {True, False}
+    assert ("orbit", True, True) in outcomes
+    assert {kind for kind, _, _ in outcomes} == {"sum", "action", "translate",
+                                                "drop", "orbit"}
+
+
+def test_principal_path_builds_no_mask_rows():
+    # only is_thick reads the n x n pair rows of ``masks``
+    p = support_model(6, bound=6)
+    p.principals
+    c = identity_operator(p)
+    c.completion
+    monoid_report(c)
+    assert "masks" not in vars(p)
+    assert is_thick(p, p.principals[5]) and "masks" in vars(p)
 
 
 def test_derived_tables_are_tuples(support3):
