@@ -71,7 +71,7 @@ def is_thick(p, s):
     fails) and each z with (x, z) in ``p.thirds[m]`` lie inside s.  A set
     that fails is scanned in the order zero, action, summand, triangle, sum
     for the first violation; the triangle witness is the first step of
-    ``_delta_steps`` whose object lies outside s, with its triangle.
+    ``_delta_steps`` (whose objects all lie outside s), with its triangle.
 
     The decision is exact on every presentation.  Where a fact of
     ``p.split`` fails, ``thirds`` holds every stored triangle.  Where they
@@ -109,8 +109,7 @@ def is_thick(p, s):
             if p.sum[m][m2] in s and not (m in s and m2 in s):
                 return ThickCheck(False, "summand", (m, m2, p.sum[m][m2]))
     for n, (t, _, _) in _delta_steps(p, s):
-        if n not in s:
-            return ThickCheck(False, "triangle", (t, n))
+        return ThickCheck(False, "triangle", (t, n))
     for m in range(p.n_objects):
         for m2 in range(p.n_objects):
             if m in s and m2 in s and p.sum[m][m2] not in s:
@@ -132,20 +131,22 @@ def _bar_steps(p, X):
 
 def _delta_steps(p, X):
     """Yield (n, (t, pred1, pred2)) for each rotation (n, pred1, pred2) of
-    a stored triangle t with pred1 and pred2 in X.
+    a stored triangle t with pred1 and pred2 in X and n not in X.
 
     The triangles are read once each, in sorted order, and the rotations
     of t = (a, b, c) are tested in the order (a, b, c), (b, c, a),
     (c, a, b): the order of the certificates of ``generate`` and the
-    witnesses of ``is_thick``.
+    witnesses of ``is_thick``.  A rotation whose object is in X is not
+    yielded: ``generate`` records no step to a member, and ``is_thick``
+    wants a step to an object outside s.
     """
     for t in p.sorted_triangles:
         a, b, c = t
-        if b in X and c in X:
+        if b in X and c in X and a not in X:
             yield a, (t, b, c)
-        if c in X and a in X:
+        if c in X and a in X and b not in X:
             yield b, (t, c, a)
-        if a in X and b in X:
+        if a in X and b in X and c not in X:
             yield c, (t, a, b)
 
 

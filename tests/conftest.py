@@ -41,10 +41,11 @@ def bar(p, X):
 
 
 def delta(p, X):
-    """The delta rule: the targets of the delta steps ``generate`` records,
-    once those steps equal the ones ``generate_by_scan`` records."""
-    steps = list(_delta_steps(p, X))
-    assert steps == list(delta_steps_by_scan(triangle_positions(p), X))
+    """The delta rule: the targets of every rotation whose predecessors lie
+    in X, as ``generate_by_scan`` walks them, once the library's steps equal
+    those whose object lies outside X."""
+    steps = list(delta_steps_by_scan(triangle_positions(p), X))
+    assert list(_delta_steps(p, X)) == [(n, d) for n, d in steps if n not in X]
     return frozenset(n for n, _ in steps)
 
 

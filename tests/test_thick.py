@@ -10,14 +10,16 @@ from ttg import (all_submodules, chain_model, enumerate_smod, generate,
                  support_model, validate, witnesses)
 from ttg.presentation import (UnknownObjectError, is_self_module,
                               rotation_closure)
-from ttg.thick import GenerationError, _checked, _closure
+from ttg.thick import GenerationError, _checked, _closure, _delta_steps
 
 from conftest import (bar, delta, graded_support_model, restriction_module,
                       summands)
 from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
                      implied_triangles, least_cofactor, minimal_thick_superset,
                      principals_by_worklist, split_facts, summands_by_scan,
-                     thick_by_definition, thick_check_by_scan)
+                     thick_by_definition, thick_check_by_scan,
+                     triangle_positions)
+from oracles import _delta_steps as delta_steps_by_scan
 
 
 def test_is_thick_examples(support2):
@@ -166,6 +168,33 @@ def test_delta_contains_input_when_zero_present(support2, chain3):
         for x in range(p.n_objects):
             X = frozenset({p.zero, x})
             assert X <= delta(p, X)
+
+
+def test_delta_steps_skip_members():
+    # the sets a delta pass scans: seeds, the members when each stage's delta
+    # pass began, whole closures, and whole-module ones; every step to a
+    # member is one neither caller reads, so none is yielded
+    rng = random.Random(30)
+    for p in (support_model(5), graded_support_model(3),
+              restriction_module(3, 2)):
+        objects = range(p.n_objects)
+        top = p.n_objects - 1
+        assert generate(p, {top})[0] == frozenset(objects)
+        sets = [frozenset(objects)]
+        for seed in [{top}, {p.zero, top}] + [
+                rng.sample(objects, rng.randint(0, 4)) for _ in range(24)]:
+            members, cert = generate(p, seed)
+            sets += [frozenset(seed), members]
+            for stage in range(1, max(r.stage for r in cert.records.values()) + 1):
+                sets.append(frozenset(
+                    m for m, r in cert.records.items()
+                    if r.stage < stage or (r.stage, r.kind) == (stage, "bar")))
+        positions = triangle_positions(p)
+        for X in sets:
+            steps = list(_delta_steps(p, X))
+            assert not {n for n, _ in steps} & X, (p.names, sorted(X))
+            assert steps == [(n, d) for n, d in delta_steps_by_scan(positions, X)
+                             if n not in X], (p.names, sorted(X))
 
 
 def test_generate_examples(support2, chain3):
