@@ -95,8 +95,24 @@ class ModulePresentation(namedtuple(
     def sorted_triangles(self):
         """The stored triangles in sorted order: the scan order of
         ``thick.generate``'s certificates and ``thick.is_thick``'s
-        witnesses."""
+        witnesses.  ``triangle_bits`` indexes it for the later delta passes
+        of ``thick.generate``."""
         return tuple(sorted(self.triangles))
+
+    @cached_property
+    def triangle_bits(self):
+        """For each object x, an ``int`` with bit i set when
+        ``sorted_triangles[i]`` has x as an entry: ``thick._delta_steps``
+        ORs the rows of the members an earlier pass did not scan, and
+        reads the triangles whose bits are set."""
+        triangles = self.sorted_triangles
+        rows = [bytearray(len(triangles) // 8 + 1) for _ in range(self.n_objects)]
+        for i, (a, b, c) in enumerate(triangles):
+            byte, bit = i >> 3, 1 << (i & 7)
+            rows[a][byte] |= bit
+            rows[b][byte] |= bit
+            rows[c][byte] |= bit
+        return tuple(int.from_bytes(row, "little") for row in rows)
 
     @cached_property
     def masks(self):

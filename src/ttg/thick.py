@@ -7,6 +7,9 @@ certificate from which finite witness sets are extracted.
 """
 
 from collections import namedtuple
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 
 class GenerationError(Exception):
@@ -41,6 +44,9 @@ class Provenance(namedtuple("Provenance", "kind stage order data")):
 
 # records maps each object id to its Provenance.
 GenerationCertificate = namedtuple("GenerationCertificate", "seed records")
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to selector bytes
 
 
 def _point_key(s):
@@ -81,7 +87,9 @@ def is_thick(p, s):
     puts T(m) = T(1) * m in ``masks[m]``, and fact 6 makes the action row
     of T^-1(1), also in ``masks``, the inverse of T.  The test
     ``_closure(p, s) == s`` is not used: it is sound only where
-    ``validate`` passes.
+    ``validate`` passes.  Since the decision is exact, the scan of a set
+    it rejects finds a violation; one that finds none raises
+    ``RuntimeError``.
     """
     s = _checked(p, s)
     if p.zero not in s:
@@ -114,7 +122,9 @@ def is_thick(p, s):
         for m2 in range(p.n_objects):
             if m in s and m2 in s and p.sum[m][m2] not in s:
                 return ThickCheck(False, "sum", (m, m2, p.sum[m][m2]))
-    return ThickCheck(True)
+    raise RuntimeError("is_thick: the decision found %r not thick but no "
+                       "condition fails; it is exact on every presentation"
+                       % (members,))
 
 
 def _bar_steps(p, X):
@@ -129,18 +139,32 @@ def _bar_steps(p, X):
                 yield n, (a, m, cofactor)
 
 
-def _delta_steps(p, X):
+def _delta_steps(p, X, scanned=frozenset()):
     """Yield (n, (t, pred1, pred2)) for each rotation (n, pred1, pred2) of
-    a stored triangle t with pred1 and pred2 in X and n not in X.
+    a stored triangle t with pred1 and pred2 in X and n not in X, and with
+    pred1 or pred2 outside ``scanned``: the steps that a pass over
+    ``scanned``, a subset of X, did not yield.
 
-    The triangles are read once each, in sorted order, and the rotations
-    of t = (a, b, c) are tested in the order (a, b, c), (b, c, a),
+    The triangles are read in sorted order, and the rotations of
+    t = (a, b, c) are tested in the order (a, b, c), (b, c, a),
     (c, a, b): the order of the certificates of ``generate`` and the
-    witnesses of ``is_thick``.  A rotation whose object is in X is not
-    yielded: ``generate`` records no step to a member, and ``is_thick``
-    wants a step to an object outside s.
+    witnesses of ``is_thick``.  With ``scanned`` empty every triangle is
+    read.  Else only the triangles ``p.triangle_bits`` marks for a member
+    of X outside ``scanned`` are read, none when X equals ``scanned``: a
+    rotation to an object outside X has that member among its
+    predecessors, and the triangles left out hold none.  A rotation whose
+    object is in X is not yielded: ``generate`` records no step to a
+    member, and ``is_thick`` wants a step to an object outside s.
     """
-    for t in p.sorted_triangles:
+    triangles = p.sorted_triangles
+    if scanned:
+        new = X - scanned
+        if not new:
+            return
+        held = reduce(or_, map(p.triangle_bits.__getitem__, new))
+        # byte i of the selector is bit i of held
+        triangles = compress(triangles, bin(held)[:1:-1].encode().translate(_BITS))
+    for t in triangles:
         a, b, c = t
         if b in X and c in X and a not in X:
             yield a, (t, b, c)
@@ -160,18 +184,28 @@ def generate(p, X):
     the members after the bar pass, recording the first step that reaches
     each new object.
     Stabilizes within |objects| iterations since membership only grows.
+
+    The first delta pass reads every triangle; each later one is given
+    the set the pass before it scanned, and so reads only the triangles
+    that hold a member added since.  The certificate is the one a full
+    pass would record: a step it skips has both predecessors in the
+    earlier set, which yielded that step, so its object is already
+    recorded; and the steps still read come in the same sorted order.
     """
     X = _checked(p, X)
     records = {}  # insertion order is discovery order
     for m in sorted(X | {p.zero}):
         records[m] = Provenance("seed", 0, len(records), ())
-    stage = 0
+    stage, scanned = 0, frozenset()
     while True:
         stage += 1
         before = len(records)
         for kind in ("bar", "delta"):
             S = frozenset(records)
-            steps = _bar_steps(p, S) if kind == "bar" else _delta_steps(p, S)
+            if kind == "bar":
+                steps = _bar_steps(p, S)
+            else:
+                steps, scanned = _delta_steps(p, S, scanned), S
             for n, data in steps:
                 if n not in records:
                     records[n] = Provenance(kind, stage, len(records), data)

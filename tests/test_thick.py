@@ -143,6 +143,18 @@ def test_is_thick_matches_scan(support2, support3, chain3, graded2, glued,
     assert conditions == {"", "zero", "action", "summand", "triangle", "sum"}
 
 
+def test_is_thick_raises_where_its_decision_is_not_exact(support2):
+    # the scan of a set the decision rejects finds a violation; a decision
+    # that rejects the thick {z, a} leaves none, and is_thick raises
+    z, a, b, t = range(4)
+    q = support2._replace()
+    vars(q)["masks"] = tuple(row | (1 << b if m == a else 0)
+                             for m, row in enumerate(support2.masks))
+    with pytest.raises(RuntimeError, match="exact"):
+        is_thick(q, {z, a})
+    assert is_thick(support2, {z, a})
+
+
 def test_bar_examples(support2):
     z, a, b, t = range(4)
     assert bar(support2, {t}) == {z, a, b, t}
@@ -197,6 +209,44 @@ def test_delta_steps_skip_members():
                              if n not in X], (p.names, sorted(X))
 
 
+def test_delta_steps_read_only_new_members(glued):
+    # the (X, scanned) pairs generate passes: each stage's delta set, the
+    # one before it (none at stage 1), and the last stage's, which records
+    # nothing; the steps are those of the full rule with a predecessor in
+    # X - scanned, in the same order, and X - scanned empty reads nothing
+    rng = random.Random(31)
+    recorded = 0
+    for p in (support_model(5), graded_support_model(3),
+              restriction_module(3, 2), glued._replace()):
+        objects = range(p.n_objects)
+        for X in (frozenset(objects), frozenset({p.zero}), frozenset()):
+            assert list(_delta_steps(p, X, X)) == []
+        assert "triangle_bits" not in vars(p), p.names
+        seeds = ([*all_subsets(objects)] if p.n_objects <= 4 else
+                 [rng.sample(objects, rng.randint(0, 4)) for _ in range(24)])
+        positions = triangle_positions(p)
+        for seed in seeds:
+            members, cert = generate(p, seed)
+            last = max(r.stage for r in cert.records.values()) + 1
+            scanned = frozenset()
+            for stage in range(1, last + 1):
+                X = frozenset(m for m, r in cert.records.items()
+                              if r.stage < stage
+                              or (r.stage, r.kind) == (stage, "bar"))
+                steps = list(_delta_steps(p, X, scanned))
+                assert steps == [
+                    (n, d) for n, d in delta_steps_by_scan(positions, X)
+                    if n not in X and not {d[1], d[2]} <= scanned], \
+                    (p.names, sorted(X), sorted(scanned))
+                recorded += bool(scanned and steps)
+                scanned = X
+        assert p.triangle_bits == tuple(
+            sum(1 << i for i, t in enumerate(p.sorted_triangles) if x in t)
+            for x in objects)
+    # glued records t at stage 2, from the triangles that hold b
+    assert recorded
+
+
 def test_generate_examples(support2, chain3):
     z, a, b, t = range(4)
     members, cert = generate(support2, {a, b})
@@ -233,12 +283,15 @@ def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
                                       restrict2, downsets, split_probe,
                                       glued, one_way):
     # the whole certificate: kind, stage, order, data and insertion order
+    stages = []
+
     def agree(p, X):
         members, cert = generate(p, X)
         expected = generate_by_scan(p, X)
         assert (members, cert.seed) == (expected[0], expected[1].seed)
         assert list(cert.records.items()) == \
             list(expected[1].records.items()), (p.names, sorted(X))
+        stages.append(max(r.stage for r in cert.records.values()))
 
     # support2 storing only (t, a, b), not closed under rotation: t joins
     # {a, b} by the first rotation of its triangle, with two distinct
@@ -256,6 +309,9 @@ def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
                      (support_model(6, bound=6), 20)):
         for _ in range(count):
             agree(p, rng.sample(range(p.n_objects), rng.randint(0, 4)))
+    # a record at stage 2 or later comes from a delta pass that reads only
+    # the triangles holding a new member (glued records t so)
+    assert max(stages) >= 2
 
 
 def test_certificate_orders_strictly_increase(support2, support3, chain3):
@@ -630,6 +686,8 @@ def test_derived_tables_are_tuples(support3):
     assert all(isinstance(row, int) for row in support3.masks)
     assert isinstance(support3.thirds, tuple)
     assert all(isinstance(row, tuple) for row in support3.thirds)
+    assert isinstance(support3.triangle_bits, tuple)
+    assert all(isinstance(row, int) for row in support3.triangle_bits)
 
 
 class _Probe:
