@@ -93,18 +93,18 @@ class ModulePresentation(namedtuple(
 
     @cached_property
     def sorted_triangles(self):
-        """The stored triangles in sorted order: the scan order of
-        ``thick.generate``'s certificates and ``thick.is_thick``'s
-        witnesses.  ``triangle_bits`` indexes it for the later delta passes
-        of ``thick.generate``."""
+        """The stored triangles in sorted order: the order in which
+        ``thick._delta_steps`` reads them, for ``thick.generate``'s
+        certificates and ``thick.is_thick``'s witnesses, through the index
+        ``triangle_bits``."""
         return tuple(sorted(self.triangles))
 
     @cached_property
     def triangle_bits(self):
         """For each object x, an ``int`` with bit i set when
         ``sorted_triangles[i]`` has x as an entry: ``thick._delta_steps``
-        ORs the rows of the members an earlier pass did not scan, and
-        reads the triangles whose bits are set."""
+        ORs the rows of the members of X that the rule's previous pass did
+        not scan, and reads the triangles whose bits are set."""
         triangles = self.sorted_triangles
         rows = [bytearray(len(triangles) // 8 + 1) for _ in range(self.n_objects)]
         for i, (a, b, c) in enumerate(triangles):

@@ -127,13 +127,15 @@ def is_thick(p, s):
                        % (members,))
 
 
-def _bar_steps(p, X):
-    """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in X.
+def _bar_steps(p, X, scanned=frozenset()):
+    """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in
+    X and not in ``scanned``: the steps that a pass over ``scanned``, a
+    subset of X, did not yield.
 
     Walks m in increasing order, then a, then n; the cofactor is the least
     n2 with n + n2 = a * m, read from ``p.decompositions``.
     """
-    for m in sorted(X):
+    for m in sorted(X - scanned):
         for a in range(p.base.n_objects):
             for n, cofactor in p.decompositions[p.action[a][m]]:
                 yield n, (a, m, cofactor)
@@ -145,26 +147,22 @@ def _delta_steps(p, X, scanned=frozenset()):
     pred1 or pred2 outside ``scanned``: the steps that a pass over
     ``scanned``, a subset of X, did not yield.
 
-    The triangles are read in sorted order, and the rotations of
+    Only the triangles ``p.triangle_bits`` marks for a member of X outside
+    ``scanned`` are read, none when X equals ``scanned``: every step has
+    such a member among its predecessors, and the triangles left out hold
+    none.  They are read in sorted order, and the rotations of
     t = (a, b, c) are tested in the order (a, b, c), (b, c, a),
     (c, a, b): the order of the certificates of ``generate`` and the
-    witnesses of ``is_thick``.  With ``scanned`` empty every triangle is
-    read.  Else only the triangles ``p.triangle_bits`` marks for a member
-    of X outside ``scanned`` are read, none when X equals ``scanned``: a
-    rotation to an object outside X has that member among its
-    predecessors, and the triangles left out hold none.  A rotation whose
-    object is in X is not yielded: ``generate`` records no step to a
-    member, and ``is_thick`` wants a step to an object outside s.
+    witnesses of ``is_thick``.  A rotation whose object is in X is not
+    yielded: ``generate`` records no step to a member, and ``is_thick``
+    wants a step to an object outside s.
     """
-    triangles = p.sorted_triangles
-    if scanned:
-        new = X - scanned
-        if not new:
-            return
-        held = reduce(or_, map(p.triangle_bits.__getitem__, new))
-        # byte i of the selector is bit i of held
-        triangles = compress(triangles, bin(held)[:1:-1].encode().translate(_BITS))
-    for t in triangles:
+    new = X - scanned
+    if not new:
+        return
+    held = reduce(or_, map(p.triangle_bits.__getitem__, new))
+    # byte i of the selector is bit i of held
+    for t in compress(p.sorted_triangles, bin(held)[:1:-1].encode().translate(_BITS)):
         a, b, c = t
         if b in X and c in X and a not in X:
             yield a, (t, b, c)
@@ -185,30 +183,28 @@ def generate(p, X):
     each new object.
     Stabilizes within |objects| iterations since membership only grows.
 
-    The first delta pass reads every triangle; each later one is given
-    the set the pass before it scanned, and so reads only the triangles
-    that hold a member added since.  The certificate is the one a full
-    pass would record: a step it skips has both predecessors in the
-    earlier set, which yielded that step, so its object is already
-    recorded; and the steps still read come in the same sorted order.
+    Each pass of a rule is given the set its previous pass scanned (none
+    at stage 1), and so yields only the steps from members added since.
+    The certificate is the one a full pass would record: a bar step it
+    skips comes from a member whose whole orbit an earlier bar pass
+    walked, and a delta step it skips has both predecessors in the earlier
+    set, which yielded it, so in both cases its object is already
+    recorded; and the steps still yielded come in the same order.
     """
     X = _checked(p, X)
     records = {}  # insertion order is discovery order
     for m in sorted(X | {p.zero}):
         records[m] = Provenance("seed", 0, len(records), ())
-    stage, scanned = 0, frozenset()
+    stage, scanned = 0, {"bar": frozenset(), "delta": frozenset()}
     while True:
         stage += 1
         before = len(records)
-        for kind in ("bar", "delta"):
+        for kind, steps in (("bar", _bar_steps), ("delta", _delta_steps)):
             S = frozenset(records)
-            if kind == "bar":
-                steps = _bar_steps(p, S)
-            else:
-                steps, scanned = _delta_steps(p, S, scanned), S
-            for n, data in steps:
+            for n, data in steps(p, S, scanned[kind]):
                 if n not in records:
                     records[n] = Provenance(kind, stage, len(records), data)
+            scanned[kind] = S
         if len(records) == before:
             break
     return frozenset(records), GenerationCertificate(seed=X, records=records)

@@ -37,7 +37,7 @@ def chain3():
 
 def bar(p, X):
     """The bar rule: the targets of the bar steps ``generate`` records."""
-    return frozenset(n for n, _ in _bar_steps(p, X))
+    return frozenset(n for n, _ in _bar_steps(p, frozenset(X)))
 
 
 def delta(p, X):
@@ -91,7 +91,7 @@ def restriction_module(n, k):
     """support_model(n) acting on the subsets of its first k atoms by
     A * m = A & m: a genuine module M != K with union as its sum, identity
     translation and the triangles (x, x + y, y), closed under rotation."""
-    base = support_model(n).base
+    base = support_model(n, bound=n).base
     objs = range(1 << k)
     translate = tuple(objs)
     return ModulePresentation(

@@ -10,7 +10,8 @@ from ttg import (all_submodules, chain_model, enumerate_smod, generate,
                  support_model, validate, witnesses)
 from ttg.presentation import (UnknownObjectError, is_self_module,
                               rotation_closure)
-from ttg.thick import GenerationError, _checked, _closure, _delta_steps
+from ttg.thick import (GenerationError, _bar_steps, _checked, _closure,
+                       _delta_steps)
 
 from conftest import (bar, delta, graded_support_model, restriction_module,
                       summands)
@@ -19,6 +20,7 @@ from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
                      principals_by_worklist, split_facts, summands_by_scan,
                      thick_by_definition, thick_check_by_scan,
                      triangle_positions)
+from oracles import _bar_steps as bar_steps_by_scan
 from oracles import _delta_steps as delta_steps_by_scan
 
 
@@ -244,6 +246,36 @@ def test_delta_steps_read_only_new_members(glued):
             sum(1 << i for i, t in enumerate(p.sorted_triangles) if x in t)
             for x in objects)
     # glued records t at stage 2, from the triangles that hold b
+    assert recorded
+
+
+def test_bar_steps_read_only_new_members(glued):
+    # the (X, scanned) pairs generate passes: each stage's bar set, the one
+    # before it (none at stage 1), and the last stage's, which records
+    # nothing; the steps are those of the full rule from a member of
+    # X - scanned, in the same order, and X - scanned empty walks nothing
+    rng = random.Random(32)
+    recorded = 0
+    for p in (support_model(5), graded_support_model(3),
+              restriction_module(3, 2), glued._replace()):
+        objects = range(p.n_objects)
+        for X in (frozenset(objects), frozenset({p.zero}), frozenset()):
+            assert list(_bar_steps(p, X, X)) == []
+        seeds = ([*all_subsets(objects)] if p.n_objects <= 4 else
+                 [rng.sample(objects, rng.randint(0, 4)) for _ in range(24)])
+        for seed in seeds:
+            members, cert = generate(p, seed)
+            last = max(r.stage for r in cert.records.values()) + 1
+            scanned = frozenset()
+            for stage in range(1, last + 1):
+                X = frozenset(m for m, r in cert.records.items()
+                              if r.stage < stage)
+                steps = list(_bar_steps(p, X, scanned))
+                assert steps == [(n, d) for n, d in bar_steps_by_scan(p, X)
+                                 if d[1] not in scanned], \
+                    (p.names, sorted(X), sorted(scanned))
+                recorded += bool(scanned and steps)
+                scanned = X
     assert recorded
 
 
