@@ -92,6 +92,25 @@ class ModulePresentation(namedtuple(
         return tuple(map(tuple, table))
 
     @cached_property
+    def orbit_steps(self):
+        """The bar steps of ``thick._bar_steps``: for each object m, the
+        pairs (n, (a, m, cofactor)), one for each summand n of some a * m,
+        the first in the order a increasing, then n in ``decompositions``
+        order.  An a whose a * m an earlier a gave adds no summand, so it
+        is skipped whole."""
+        table = []
+        for m, column in enumerate(zip(*self.action)):
+            seen, steps = set(), {}
+            for a, x in enumerate(column):
+                if x not in seen:
+                    seen.add(x)
+                    for n, cofactor in self.decompositions[x]:
+                        if n not in steps:
+                            steps[n] = n, (a, m, cofactor)
+            table.append(tuple(steps.values()))
+        return tuple(table)
+
+    @cached_property
     def sorted_triangles(self):
         """The stored triangles in sorted order: the order in which
         ``thick._delta_steps`` reads them, for ``thick.generate``'s

@@ -28,7 +28,8 @@ class Provenance(namedtuple("Provenance", "kind stage order data")):
     """How an object entered the generated submodule.
 
     kind "seed": stage-0 member.
-    kind "bar": data = (a, m, cofactor) with self + cofactor = a * m, m earlier.
+    kind "bar": data = (a, m, cofactor) with self + cofactor = a * m, m
+    earlier, a the least such and then cofactor the least such.
     kind "delta": data = (triangle, pred1, pred2), both predecessors earlier;
     (self, pred1, pred2) is the first rotation, in ``_delta_steps`` order,
     with pred1 and pred2 among the members when its stage's delta pass
@@ -128,17 +129,16 @@ def is_thick(p, s):
 
 
 def _bar_steps(p, X, scanned=frozenset()):
-    """Yield (n, (a, m, cofactor)) for each summand n of each a * m, m in
-    X and not in ``scanned``: the steps that a pass over ``scanned``, a
-    subset of X, did not yield.
+    """Yield (n, (a, m, cofactor)), the first step to each summand n of
+    some a * m, for each m in X and not in ``scanned``: the steps that a
+    pass over ``scanned``, a subset of X, did not yield.
 
-    Walks m in increasing order, then a, then n; the cofactor is the least
-    n2 with n + n2 = a * m, read from ``p.decompositions``.
+    Walks m in increasing order and reads its row of ``p.orbit_steps``:
+    the least a, then n in ``p.decompositions`` order, and the least n2
+    with n + n2 = a * m as the cofactor.
     """
     for m in sorted(X - scanned):
-        for a in range(p.base.n_objects):
-            for n, cofactor in p.decompositions[p.action[a][m]]:
-                yield n, (a, m, cofactor)
+        yield from p.orbit_steps[m]
 
 
 def _delta_steps(p, X, scanned=frozenset()):
@@ -180,16 +180,16 @@ def generate(p, X):
     ``_delta_steps`` yield; the zero seed makes delta monotone from stage
     0.  Each stage runs the bar steps over X_i, then the delta steps over
     the members after the bar pass, recording the first step that reaches
-    each new object.
-    Stabilizes within |objects| iterations since membership only grows.
+    each new object.  Stabilizes within |objects| iterations.
 
-    Each pass of a rule is given the set its previous pass scanned (none
-    at stage 1), and so yields only the steps from members added since.
-    The certificate is the one a full pass would record: a bar step it
-    skips comes from a member whose whole orbit an earlier bar pass
-    walked, and a delta step it skips has both predecessors in the earlier
-    set, which yielded it, so in both cases its object is already
-    recorded; and the steps still yielded come in the same order.
+    The certificate is the one the full rules record.  Each pass of a rule
+    is given the set its previous pass scanned (none at stage 1), and so
+    yields only the steps from members added since: a skipped bar step
+    comes from a member whose orbit an earlier pass walked, and a skipped
+    delta step has both predecessors in the earlier set, which yielded it,
+    so its object is recorded.  From each m, bar yields only the first
+    step to each summand n: the steps from m are consecutive, so a later
+    one to n finds n recorded.  The steps kept come in the same order.
     """
     X = _checked(p, X)
     records = {}  # insertion order is discovery order

@@ -249,11 +249,23 @@ def test_delta_steps_read_only_new_members(glued):
     assert recorded
 
 
+def _first_steps(steps):
+    """The bar steps (n, (a, m, cofactor)) that are the first from their m
+    to their n, in the order given."""
+    seen, kept = set(), []
+    for n, data in steps:
+        if (data[1], n) not in seen:
+            seen.add((data[1], n))
+            kept.append((n, data))
+    return kept
+
+
 def test_bar_steps_read_only_new_members(glued):
     # the (X, scanned) pairs generate passes: each stage's bar set, the one
     # before it (none at stage 1), and the last stage's, which records
-    # nothing; the steps are those of the full rule from a member of
-    # X - scanned, in the same order, and X - scanned empty walks nothing
+    # nothing; the steps are the first from each member of X - scanned to
+    # each of its summands in the full rule, in the same order, and
+    # X - scanned empty walks nothing
     rng = random.Random(32)
     recorded = 0
     for p in (support_model(5), graded_support_model(3),
@@ -271,12 +283,43 @@ def test_bar_steps_read_only_new_members(glued):
                 X = frozenset(m for m, r in cert.records.items()
                               if r.stage < stage)
                 steps = list(_bar_steps(p, X, scanned))
-                assert steps == [(n, d) for n, d in bar_steps_by_scan(p, X)
-                                 if d[1] not in scanned], \
+                assert steps == _first_steps(
+                    (n, d) for n, d in bar_steps_by_scan(p, X)
+                    if d[1] not in scanned), \
                     (p.names, sorted(X), sorted(scanned))
                 recorded += bool(scanned and steps)
                 scanned = X
     assert recorded
+
+
+def test_orbit_steps_match_scan(support2, support3, chain3, graded2,
+                                restrict2, downsets, split_probe, glued,
+                                one_way):
+    # each row is the full walk from m with only the first step to each n
+    # kept; also on seeded one-edit mutants, where validate fails, a * m
+    # repeats across a irregularly and the sum need not be commutative
+    def agree(p):
+        for m in range(p.n_objects):
+            full = list(bar_steps_by_scan(p, {m}))
+            assert list(p.orbit_steps[m]) == _first_steps(full), (p.names, m)
+            dropped.append(len(full) - len(p.orbit_steps[m]))
+
+    dropped, kinds, commutative = [], set(), set()
+    for p in (support2, support3, chain3, graded2, restrict2, downsets,
+              split_probe, glued, one_way, restriction_module(3, 2),
+              graded_support_model(3)):
+        agree(p)
+    rng = random.Random(33)
+    for p in (support2, chain3, graded2, restrict2, glued):
+        for _ in range(40):
+            kind, q = _one_edit(p, rng)
+            agree(q)
+            kinds.add((kind, validate(q).ok))
+            commutative.add(q.sum == tuple(zip(*q.sum)))
+    assert {("sum", False), ("action", False)} <= kinds
+    assert commutative == {True, False}
+    # the table leaves out steps the walk repeats
+    assert max(dropped) > 0
 
 
 def test_generate_examples(support2, chain3):
@@ -341,6 +384,18 @@ def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
                      (support_model(6, bound=6), 20)):
         for _ in range(count):
             agree(p, rng.sample(range(p.n_objects), rng.randint(0, 4)))
+    # seeded one-edit mutants, which fail validate or change the triangles:
+    # every subset, so bar's first step to each n is tested where the
+    # action columns repeat irregularly
+    kinds = set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        for p in (support3, chain3, restriction_module(3, 2)):
+            kind, q = _one_edit(p, rng)
+            kinds.add(kind)
+            for X in all_subsets(range(q.n_objects)):
+                agree(q, X)
+    assert {"sum", "action"} <= kinds
     # a record at stage 2 or later comes from a delta pass that reads only
     # the triangles holding a new member (glued records t so)
     assert max(stages) >= 2
@@ -358,6 +413,10 @@ def test_certificate_orders_strictly_increase(support2, support3, chain3):
                     assert cert.records[m].order < rec.order
                     assert p.sum[n][cof] == p.action[a][m]
                     assert cof == least_cofactor(p, n, p.action[a][m])
+                    # a is the least a with n a summand of a * m
+                    assert a == min(
+                        a2 for a2 in range(p.base.n_objects)
+                        if n in summands_by_scan(p, p.action[a2][m]))
                 elif rec.kind == "delta":
                     t, x, y = rec.data
                     assert t in p.triangles
@@ -720,6 +779,8 @@ def test_derived_tables_are_tuples(support3):
     assert all(isinstance(row, tuple) for row in support3.thirds)
     assert isinstance(support3.triangle_bits, tuple)
     assert all(isinstance(row, int) for row in support3.triangle_bits)
+    assert isinstance(support3.orbit_steps, tuple)
+    assert all(isinstance(row, tuple) for row in support3.orbit_steps)
 
 
 class _Probe:
