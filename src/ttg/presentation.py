@@ -123,7 +123,10 @@ class ModulePresentation(namedtuple(
         """For each object x, an ``int`` with bit i set when
         ``sorted_triangles[i]`` has x as an entry: ``thick._delta_steps``
         ORs the rows of the members of X that the rule's previous pass did
-        not scan, and reads the triangles whose bits are set."""
+        not scan, and reads the triangles whose bits are set.  Where no
+        more objects lie outside X than in it, it ANDs that with the OR of
+        the rows of the objects outside X, which leaves out the closed
+        triangles, those with every entry in X."""
         triangles = self.sorted_triangles
         rows = [bytearray(len(triangles) // 8 + 1) for _ in range(self.n_objects)]
         for i, (a, b, c) in enumerate(triangles):
@@ -152,8 +155,11 @@ class ModulePresentation(namedtuple(
         (4) 1 * m = m, (5) T(m) = T(1) * m, (6) T^-1(1) * T(m) = m.  Then
         the orbits and sums make every inference of (x, x + y, y),
         (x + y, y, Tx) and (y, Tx, T(x + y)) (README derives each), and
-        ``thirds`` leaves those forms out."""
+        ``thirds`` leaves those forms out.  A base translation that misses
+        the unit has no T^-1(1), so fact 6 fails there."""
         s, T, act, k = self.sum, self.translate, self.action, self.base
+        if k.unit not in k.translate:
+            return False
         back = act[k.translate.index(k.unit)]  # the row of T^-1(1)
         return (  # facts 3, 4 and 6, then 5, 2 and 1
             [row[self.zero] for row in s] == [*range(self.n_objects)] == [*act[k.unit]]

@@ -150,17 +150,25 @@ def _delta_steps(p, X, scanned=frozenset()):
     Only the triangles ``p.triangle_bits`` marks for a member of X outside
     ``scanned`` are read, none when X equals ``scanned``: every step has
     such a member among its predecessors, and the triangles left out hold
-    none.  They are read in sorted order, and the rotations of
-    t = (a, b, c) are tested in the order (a, b, c), (b, c, a),
-    (c, a, b): the order of the certificates of ``generate`` and the
-    witnesses of ``is_thick``.  A rotation whose object is in X is not
-    yielded: ``generate`` records no step to a member, and ``is_thick``
-    wants a step to an object outside s.
+    none.  Nor is a closed triangle read, one whose entries all lie in X,
+    and none at all when X holds every object: a step's object lies
+    outside X.  The closed ones are masked out with the OR of the rows of
+    the objects outside X, one OR per non-member, so only when there are
+    no more of them than members; on smaller sets the mask costs more
+    than the triangles it skips.  They are read in sorted order, and the
+    rotations of t = (a, b, c) are tested in the order (a, b, c),
+    (b, c, a), (c, a, b): the order of the certificates of ``generate``
+    and the witnesses of ``is_thick``.  A rotation whose object is in X
+    is not yielded: ``generate`` records no step to a member, and
+    ``is_thick`` wants a step to an object outside s.
     """
     new = X - scanned
-    if not new:
+    if not new or len(X) == p.n_objects:
         return
-    held = reduce(or_, map(p.triangle_bits.__getitem__, new))
+    rows = p.triangle_bits
+    held = reduce(or_, map(rows.__getitem__, new))
+    if 2 * len(X) >= p.n_objects:  # no more objects outside X than in it
+        held &= reduce(or_, map(rows.__getitem__, p._ids - X))
     # byte i of the selector is bit i of held
     for t in compress(p.sorted_triangles, bin(held)[:1:-1].encode().translate(_BITS)):
         a, b, c = t
@@ -189,7 +197,10 @@ def generate(p, X):
     delta step has both predecessors in the earlier set, which yielded it,
     so its object is recorded.  From each m, bar yields only the first
     step to each summand n: the steps from m are consecutive, so a later
-    one to n finds n recorded.  The steps kept come in the same order.
+    one to n finds n recorded.  Nor does a delta pass read a closed
+    triangle, one with every entry a member, once no more objects lie
+    outside the members than in them: its rotations are steps to members,
+    which record nothing.  The steps kept come in the same order.
     """
     X = _checked(p, X)
     records = {}  # insertion order is discovery order

@@ -124,15 +124,17 @@ def split_facts(p):
     reads only the triangles outside ``implied_triangles``, each by a scan
     of its definition: every split triangle (x, x + y, y) is stored, the
     sum is commutative, x + 0 = x, 1 * m = m, T(m) = T(1) * m and
-    T^-1(1) * T(m) = m."""
+    T^-1(1) * T(m) = m, which fails where no base object translates to
+    the unit."""
     k, objs, s, T = p.base, range(p.n_objects), p.sum, p.translate
-    inverse_unit = k.translate.index(k.unit)
     return (all((x, s[x][y], y) in p.triangles for x in objs for y in objs)
             and all(s[x][y] == s[y][x] for x in objs for y in objs)
             and all(s[x][p.zero] == x for x in objs)
             and all(p.action[k.unit][m] == m for m in objs)
             and all(T[m] == p.action[k.translate[k.unit]][m] for m in objs)
-            and all(p.action[inverse_unit][T[m]] == m for m in objs))
+            and k.unit in k.translate
+            and all(p.action[k.translate.index(k.unit)][T[m]] == m
+                    for m in objs))
 
 
 def implied_triangles(p):

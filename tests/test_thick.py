@@ -1,13 +1,15 @@
 import gc
+import hashlib
 import random
 import weakref
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations
 
 import pytest
 
 from ttg import (all_submodules, chain_model, enumerate_smod, generate,
                  identity_operator, is_thick, monoid_report, self_module,
                  support_model, validate, witnesses)
+from ttg import thick
 from ttg.presentation import (UnknownObjectError, is_self_module,
                               rotation_closure)
 from ttg.thick import (GenerationError, _bar_steps, _checked, _closure,
@@ -247,6 +249,68 @@ def test_delta_steps_read_only_new_members(glued):
             for x in objects)
     # glued records t at stage 2, from the triangles that hold b
     assert recorded
+
+
+def test_delta_steps_skip_closed_triangles(monkeypatch):
+    # on the (X, scanned) pairs generate passes, once no more objects lie
+    # outside X than in it, a pass reads no closed triangle, one with every
+    # entry in X, since it has no step; the parent read those that hold a
+    # member of X - scanned
+    read = []
+
+    def recording(data, selectors):
+        for t in compress(data, selectors):
+            read.append(t)
+            yield t
+
+    monkeypatch.setattr(thick, "compress", recording)
+    rng = random.Random(34)
+    skipped = 0
+    for p in (support_model(5), graded_support_model(3),
+              restriction_module(3, 2)):
+        objects = range(p.n_objects)
+        top = p.n_objects - 1
+        for seed in [{top}, objects] + [
+                rng.sample(objects, rng.randint(0, 4)) for _ in range(24)]:
+            members, cert = generate(p, seed)
+            last = max(r.stage for r in cert.records.values()) + 1
+            scanned = frozenset()
+            for stage in range(1, last + 1):
+                X = frozenset(m for m, r in cert.records.items()
+                              if r.stage < stage
+                              or (r.stage, r.kind) == (stage, "bar"))
+                read.clear()
+                list(_delta_steps(p, X, scanned))
+                if p.n_objects - len(X) <= len(X):
+                    assert not [t for t in read if X.issuperset(t)], \
+                        (p.names, sorted(X), sorted(scanned))
+                    skipped += sum(X.issuperset(t) and not scanned.issuperset(t)
+                                   for t in p.sorted_triangles)
+                scanned = X
+    assert skipped
+
+
+def test_generate_certificates_are_pinned():
+    # whole certificates (kind, stage, order, step data, discovery order)
+    # at the scale of the CI pins, whose generate --out shows only object,
+    # stage and kind: sha256 of repr(list(cert.records.items()))
+    s7 = support_model(7, bound=7)
+    r77 = restriction_module(7, 7)
+    g4 = graded_support_model(4)
+    for p, seed, digest in (
+            (s7, "a bc", "048fe7b96b3d8fa6664b00b20bf828e4"
+                         "370bbc906769661c1f05ac194e836b38"),
+            (s7, "abc defg", "dfe11d3bf72b06889d3adffbbe2fdbcc"
+                             "c123c4cb089f2e6a1b22ab75c84eae58"),
+            (r77, "m3 m24 m96", "42b45ac8ca00b8d64b29b655c0e80fe0"
+                                "6bce880d0fe757f1ca0e69b52346c6b9"),
+            (r77, " ".join(r77.names), "eb4640de3a8c6dcb0d6de9e618642f79"
+                                       "1377822876528f20c940156efe6eb8f4"),
+            (g4, "1|2 4|8", "8a94e46707f5cd6156e9f6c07391422d"
+                            "df53ff092edcb28c7186e62337d600ee")):
+        _, cert = generate(p, map(p.names.index, seed.split()))
+        assert hashlib.sha256(repr(list(cert.records.items())).encode()
+                              ).hexdigest() == digest, (p.names[-1], seed)
 
 
 def _first_steps(steps):
@@ -609,6 +673,22 @@ def test_principal_table_matches_worklist(restrict2, split_probe, one_way,
               graded_support_model(3), restrict2, split_probe, one_way, glued):
         assert p.principals == principals_by_worklist(p), p.names
         _assert_split_index(p)
+
+
+def test_presentation_without_an_inverse_unit(support2):
+    # a base translation that misses the unit has no T^-1(1), so fact 6
+    # fails and the principal table reads every stored triangle
+    p = self_module(support2.base._replace(translate=(0, 0, 0, 0)))
+    assert not p.split
+    _assert_split_index(p)
+    for m in range(p.n_objects):
+        assert p.principals[m] == generate(p, {m})[0], m
+    for s in all_subsets(range(p.n_objects)):
+        check = is_thick(p, s)
+        assert (check.ok, check.condition, check.witness) == \
+            thick_check_by_scan(p, s), sorted(s)
+        assert _closure(p, s) == generate(p, s)[0], sorted(s)
+    assert set(all_submodules(p)) == set(p.principals)
 
 
 def test_principal_table_matches_worklist_off_validate(support3):
