@@ -68,11 +68,24 @@ def cmd_validate(args, p, operators):
              % (p.n_objects, len(p.triangles))])
 
 
+def _step_data(p, rec):
+    """A record's data by name: (a, m, cofactor), a named in the base, or
+    (triangle, pred1, pred2) with the triangle as a list of names."""
+    if rec.kind == "bar":
+        a, m, cofactor = rec.data
+        return [p.base.names[a], p.names[m], p.names[cofactor]]
+    if rec.kind == "delta":
+        t, x, y = rec.data
+        return [[p.names[v] for v in t], p.names[x], p.names[y]]
+    return []
+
+
 def cmd_generate(args, p, operators):
     seed = _seed(p, args.seed)
     members, cert = generate(p, seed)
-    listing = [{"object": p.names[m], "stage": cert.records[m].stage,
-                "via": cert.records[m].kind} for m in sorted(members)]
+    listing = [{"object": p.names[m], "stage": rec.stage, "via": rec.kind,
+                "order": rec.order, "data": _step_data(p, rec)}
+               for m, rec in sorted(cert.records.items())]
     lines = ["generated submodule (%d members):" % len(members)]
     lines += ["  %-6s stage %d (%s)" % (e["object"], e["stage"], e["via"])
               for e in listing]

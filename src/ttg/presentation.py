@@ -93,7 +93,7 @@ class ModulePresentation(namedtuple(
 
     @cached_property
     def orbit_steps(self):
-        """The bar steps of ``thick._bar_steps``: for each object m, the
+        """The bar steps of ``thick.generate``: for each object m, the
         pairs (n, (a, m, cofactor)), one for each summand n of some a * m,
         the first in the order a increasing, then n in ``decompositions``
         order.  An a whose a * m an earlier a gave adds no summand, so it
@@ -112,29 +112,9 @@ class ModulePresentation(namedtuple(
 
     @cached_property
     def sorted_triangles(self):
-        """The stored triangles in sorted order: the order in which
-        ``thick._delta_steps`` reads them, for ``thick.generate``'s
-        certificates and ``thick.is_thick``'s witnesses, through the index
-        ``triangle_bits``."""
+        """The stored triangles in sorted order: the order in which the
+        failure path of ``thick.is_thick`` looks for a triangle witness."""
         return tuple(sorted(self.triangles))
-
-    @cached_property
-    def triangle_bits(self):
-        """For each object x, an ``int`` with bit i set when
-        ``sorted_triangles[i]`` has x as an entry: ``thick._delta_steps``
-        ORs the rows of the members of X that the rule's previous pass did
-        not scan, and reads the triangles whose bits are set.  Where no
-        more objects lie outside X than in it, it ANDs that with the OR of
-        the rows of the objects outside X, which leaves out the closed
-        triangles, those with every entry in X."""
-        triangles = self.sorted_triangles
-        rows = [bytearray(len(triangles) // 8 + 1) for _ in range(self.n_objects)]
-        for i, (a, b, c) in enumerate(triangles):
-            byte, bit = i >> 3, 1 << (i & 7)
-            rows[a][byte] |= bit
-            rows[b][byte] |= bit
-            rows[c][byte] |= bit
-        return tuple(int.from_bytes(row, "little") for row in rows)
 
     @cached_property
     def masks(self):
@@ -170,12 +150,14 @@ class ModulePresentation(namedtuple(
 
     @cached_property
     def thirds(self):
-        """The triangle index of ``principals`` and ``thick.is_thick``:
-        ``thirds[x]`` holds (y, bit of z) for each permutation (x, y, z) of
-        a stored triangle the triangle rule must scan.  Where ``split``
-        holds these are the extra triangles, the stored ones outside
-        (x, x + y, y), (x + y, y, Tx) and (y, Tx, T(x + y)); else every
-        stored triangle."""
+        """The triangle index of ``principals``, ``thick.is_thick`` and
+        ``thick.generate``: ``thirds[x]`` holds (y, z, t) for each
+        permutation (x, y, z) of a stored triangle t the triangle rule must
+        scan, in sorted order of t.  Where ``split`` holds these are the
+        extra triangles, the stored ones outside (x, x + y, y),
+        (x + y, y, Tx) and (y, Tx, T(x + y)); else every stored triangle.
+        The sorted order makes ``generate``'s certificates independent of
+        the order in which a document lists the triangles."""
         triangles = self.triangles
         if self.split:
             s, T, k = self.sum, self.translate, self.base
@@ -183,8 +165,9 @@ class ModulePresentation(namedtuple(
             triangles = [(a, b, c) for a, b, c in triangles if s[a][c] != b
                          and s[back[c]][b] != a and T[s[back[b]][a]] != c]
         thirds = [[] for _ in range(self.n_objects)]
-        for x, y, z in chain.from_iterable(map(permutations, triangles)):
-            thirds[x].append((y, 1 << z))
+        for t in sorted(triangles):
+            for x, y, z in permutations(t):
+                thirds[x].append((y, z, t))
         return tuple(map(tuple, thirds))
 
     @cached_property
@@ -198,8 +181,10 @@ class ModulePresentation(namedtuple(
 
         Where ``split`` holds it also adds each sum y + x, which by fact 1
         changes no fixpoint, and reads the triangles of ``thirds``; else it
-        adds no sum.  Either way the table equals ``generate(p, {m})``,
-        also where ``validate`` fails.
+        adds no sum.  ``generate`` runs the same worklist with a FIFO queue
+        and records the rule that reached each member, so the table equals
+        ``generate(p, {m})``, also where ``validate`` fails; here it pops
+        the lowest bit and records nothing.
         """
         s, act, split, thirds = self.sum, self.action, self.split, self.thirds
         ids = [*range(self.n_objects)]
@@ -219,9 +204,9 @@ class ModulePresentation(namedtuple(
                 row = s[y]
                 for x in members if split else ():
                     todo |= bit[row[x]]
-                for x, third in thirds[y]:
+                for x, z, _ in thirds[y]:
                     if inside >> x & 1:
-                        todo |= third
+                        todo |= bit[z]
                 todo &= ~inside
             table.append(frozenset(members))
         return tuple(table)

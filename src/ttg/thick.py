@@ -1,15 +1,13 @@
 """Thick K-submodules: membership checking, generation fixpoint, witnesses.
 
 Submodules are plain frozensets of object ids over a fixed
-ModulePresentation.  The generation fixpoint alternates a summand-of-orbit
-step (bar) and a triangle-completion step (delta) and records a provenance
-certificate from which finite witness sets are extracted.
+ModulePresentation.  The generation fixpoint is a worklist that applies a
+summand-of-orbit step (bar) and a triangle-completion step (delta) to each
+new member and records a provenance certificate, from which finite witness
+sets are extracted.
 """
 
 from collections import namedtuple
-from functools import reduce
-from itertools import compress
-from operator import or_
 
 
 class GenerationError(Exception):
@@ -30,24 +28,20 @@ class Provenance(namedtuple("Provenance", "kind stage order data")):
     kind "seed": stage-0 member.
     kind "bar": data = (a, m, cofactor) with self + cofactor = a * m, m
     earlier, a the least such and then cofactor the least such.
-    kind "delta": data = (triangle, pred1, pred2), both predecessors earlier;
-    (self, pred1, pred2) is the first rotation, in ``_delta_steps`` order,
-    with pred1 and pred2 among the members when its stage's delta pass
-    began and self not.
+    kind "delta": data = (triangle, pred1, pred2), both predecessors earlier,
+    and (self, pred1, pred2) a rotation of the stored triangle.  A sum
+    y + x is such a record too, with the split triangle (y, y + x, x),
+    whose rotation (y + x, x, y) gives it.
 
-    ``stage`` is the fixpoint iteration at which the object became a member;
-    ``order`` is a global discovery counter, strictly increasing along
-    provenance edges (bar and delta discoveries inside one iteration tie on
-    stage, so strictness lives on order).
+    ``stage`` is the derivation depth: 0 for a seed, else 1 + the largest
+    stage of the predecessors.  ``order`` is the number of records made
+    before this one, so it strictly increases along provenance edges.
     """
     __slots__ = ()
 
 
 # records maps each object id to its Provenance.
 GenerationCertificate = namedtuple("GenerationCertificate", "seed records")
-
-
-_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to selector bytes
 
 
 def _point_key(s):
@@ -75,10 +69,10 @@ def is_thick(p, s):
     s is thick exactly when it holds zero and, for every m and x in s,
     ``p.masks[m]`` (each a * m, both terms of each sum equal to m), the sums
     m + x and x + m (the table need not be commutative where ``validate``
-    fails) and each z with (x, z) in ``p.thirds[m]`` lie inside s.  A set
+    fails) and each z with (x, z, t) in ``p.thirds[m]`` lie inside s.  A set
     that fails is scanned in the order zero, action, summand, triangle, sum
-    for the first violation; the triangle witness is the first step of
-    ``_delta_steps`` (whose objects all lie outside s), with its triangle.
+    for the first violation; the triangle witness is the first triangle of
+    ``p.sorted_triangles`` with exactly one entry outside s, and that entry.
 
     The decision is exact on every presentation.  Where a fact of
     ``p.split`` fails, ``thirds`` holds every stored triangle.  Where they
@@ -103,9 +97,9 @@ def is_thick(p, s):
         if not s.issuperset(map(p.sum[m].__getitem__, members)):
             break
         reached |= masks[m]
-        for x, third in thirds[m]:
+        for x, z, _ in thirds[m]:
             if inside >> x & 1:
-                reached |= third
+                reached |= 1 << z
     else:
         if not reached & ~inside:
             return ThickCheck(True)
@@ -117,8 +111,10 @@ def is_thick(p, s):
         for m2 in range(p.n_objects):
             if p.sum[m][m2] in s and not (m in s and m2 in s):
                 return ThickCheck(False, "summand", (m, m2, p.sum[m][m2]))
-    for n, (t, _, _) in _delta_steps(p, s):
-        return ThickCheck(False, "triangle", (t, n))
+    for t in p.sorted_triangles:
+        outside = [v for v in t if v not in s]
+        if len(outside) == 1:
+            return ThickCheck(False, "triangle", (t, outside[0]))
     for m in range(p.n_objects):
         for m2 in range(p.n_objects):
             if m in s and m2 in s and p.sum[m][m2] not in s:
@@ -128,96 +124,58 @@ def is_thick(p, s):
                        % (members,))
 
 
-def _bar_steps(p, X, scanned=frozenset()):
-    """Yield (n, (a, m, cofactor)), the first step to each summand n of
-    some a * m, for each m in X and not in ``scanned``: the steps that a
-    pass over ``scanned``, a subset of X, did not yield.
-
-    Walks m in increasing order and reads its row of ``p.orbit_steps``:
-    the least a, then n in ``p.decompositions`` order, and the least n2
-    with n + n2 = a * m as the cofactor.
-    """
-    for m in sorted(X - scanned):
-        yield from p.orbit_steps[m]
-
-
-def _delta_steps(p, X, scanned=frozenset()):
-    """Yield (n, (t, pred1, pred2)) for each rotation (n, pred1, pred2) of
-    a stored triangle t with pred1 and pred2 in X and n not in X, and with
-    pred1 or pred2 outside ``scanned``: the steps that a pass over
-    ``scanned``, a subset of X, did not yield.
-
-    Only the triangles ``p.triangle_bits`` marks for a member of X outside
-    ``scanned`` are read, none when X equals ``scanned``: every step has
-    such a member among its predecessors, and the triangles left out hold
-    none.  Nor is a closed triangle read, one whose entries all lie in X,
-    and none at all when X holds every object: a step's object lies
-    outside X.  The closed ones are masked out with the OR of the rows of
-    the objects outside X, one OR per non-member, so only when there are
-    no more of them than members; on smaller sets the mask costs more
-    than the triangles it skips.  They are read in sorted order, and the
-    rotations of t = (a, b, c) are tested in the order (a, b, c),
-    (b, c, a), (c, a, b): the order of the certificates of ``generate``
-    and the witnesses of ``is_thick``.  A rotation whose object is in X
-    is not yielded: ``generate`` records no step to a member, and
-    ``is_thick`` wants a step to an object outside s.
-    """
-    new = X - scanned
-    if not new or len(X) == p.n_objects:
-        return
-    rows = p.triangle_bits
-    held = reduce(or_, map(rows.__getitem__, new))
-    if 2 * len(X) >= p.n_objects:  # no more objects outside X than in it
-        held &= reduce(or_, map(rows.__getitem__, p._ids - X))
-    # byte i of the selector is bit i of held
-    for t in compress(p.sorted_triangles, bin(held)[:1:-1].encode().translate(_BITS)):
-        a, b, c = t
-        if b in X and c in X and a not in X:
-            yield a, (t, b, c)
-        if c in X and a in X and b not in X:
-            yield b, (t, c, a)
-        if a in X and b in X and c not in X:
-            yield c, (t, a, b)
-
-
 def generate(p, X):
     """Smallest thick submodule containing X, with a provenance certificate.
 
-    Iterates X_{i+1} = delta(bar(X_i)) from X_0 = X united with {zero},
-    bar and delta being the rules whose steps ``_bar_steps`` and
-    ``_delta_steps`` yield; the zero seed makes delta monotone from stage
-    0.  Each stage runs the bar steps over X_i, then the delta steps over
-    the members after the bar pass, recording the first step that reaches
-    each new object.  Stabilizes within |objects| iterations.
+    The worklist of ``p.principals``, run from X united with {zero} with a
+    FIFO queue.  Each popped member y applies the rules once, paired with
+    every member popped before it and with y itself, and each object it
+    reaches that has no record yet is recorded by the first rule that
+    reached it, in this order:
 
-    The certificate is the one the full rules record.  Each pass of a rule
-    is given the set its previous pass scanned (none at stage 1), and so
-    yields only the steps from members added since: a skipped bar step
-    comes from a member whose orbit an earlier pass walked, and a skipped
-    delta step has both predecessors in the earlier set, which yielded it,
-    so its object is recorded.  From each m, bar yields only the first
-    step to each summand n: the steps from m are consecutive, so a later
-    one to n finds n recorded.  Nor does a delta pass read a closed
-    triangle, one with every entry a member, once no more objects lie
-    outside the members than in them: its rotations are steps to members,
-    which record nothing.  The steps kept come in the same order.
+    - bar: each summand n of some a * y, from ``p.orbit_steps[y]``;
+    - sum, where ``p.split`` holds: y + x for each popped x, in pop order.
+      By split fact 1 the triangle (y, y + x, x) is stored, and
+      (y + x, x, y) is one of its rotations, so the sum is recorded as the
+      delta step it is, with data ((y, y + x, x), x, y);
+    - delta: the z of each entry (x, z, t) of ``p.thirds[y]`` with x
+      popped, recorded as the rotation of t that puts z first.
+
+    A record's stage is its derivation depth, 1 + the largest stage of its
+    predecessors, and its order the number of records before it.  The
+    FIFO queue pops the members in stage order, so every predecessor is
+    popped by y and has a stage no larger than y's: a record made from y
+    has stage 1 + y's.  The member set is the principal table's fixpoint, also where ``validate``
+    fails: the sums are added only where the split facts imply them.  The
+    certificate depends only on the model, not on the order in which its
+    document lists the triangles, since ``p.thirds`` keeps sorted order.
     """
     X = _checked(p, X)
-    records = {}  # insertion order is discovery order
-    for m in sorted(X | {p.zero}):
-        records[m] = Provenance("seed", 0, len(records), ())
-    stage, scanned = 0, {"bar": frozenset(), "delta": frozenset()}
-    while True:
-        stage += 1
-        before = len(records)
-        for kind, steps in (("bar", _bar_steps), ("delta", _delta_steps)):
-            S = frozenset(records)
-            for n, data in steps(p, S, scanned[kind]):
-                if n not in records:
-                    records[n] = Provenance(kind, stage, len(records), data)
-            scanned[kind] = S
-        if len(records) == before:
-            break
+    s, steps, thirds, split = p.sum, p.orbit_steps, p.thirds, p.split
+    queue = sorted(X | {p.zero})  # the records, in discovery order
+    records = {m: Provenance("seed", 0, i, ()) for i, m in enumerate(queue)}
+
+    def record(n, kind, stage, data):
+        records[n] = Provenance(kind, stage, len(records), data)
+        queue.append(n)
+
+    members = []  # the popped prefix of the queue
+    for y in queue:
+        members.append(y)
+        depth = records[y].stage + 1
+        for n, data in steps[y]:
+            if n not in records:
+                record(n, "bar", depth, data)
+        row = s[y]
+        for x in members if split else ():
+            n = row[x]
+            if n not in records:
+                record(n, "delta", depth, ((y, n, x), x, y))
+        for x, n, t in thirds[y]:
+            # x is popped when its order is below the count of popped members
+            if n not in records and x in records and records[x].order < len(members):
+                i = t.index(n)  # n is new, so neither x nor y: it occurs once
+                record(n, "delta", depth, (t, t[i - 2], t[i - 1]))  # t[i+1], t[i+2]
     return frozenset(records), GenerationCertificate(seed=X, records=records)
 
 

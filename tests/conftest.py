@@ -12,7 +12,6 @@ from ttg import (CategoryPresentation, ModulePresentation, all_submodules,
 from ttg.docio import load
 from ttg.operators import OperatorSpec
 from ttg.presentation import rotation_closure
-from ttg.thick import _bar_steps, _delta_steps
 
 from oracles import _delta_steps as delta_steps_by_scan
 from oracles import summands_by_scan, triangle_positions
@@ -36,17 +35,15 @@ def chain3():
 
 
 def bar(p, X):
-    """The bar rule: the targets of the bar steps ``generate`` records."""
-    return frozenset(n for n, _ in _bar_steps(p, frozenset(X)))
+    """The bar rule: the targets of the bar steps ``generate`` reads, from
+    ``p.orbit_steps``."""
+    return frozenset(n for m in X for n, _ in p.orbit_steps[m])
 
 
 def delta(p, X):
     """The delta rule: the targets of every rotation whose predecessors lie
-    in X, as ``generate_by_scan`` walks them, once the library's steps equal
-    those whose object lies outside X."""
-    steps = list(delta_steps_by_scan(triangle_positions(p), X))
-    assert list(_delta_steps(p, X)) == [(n, d) for n, d in steps if n not in X]
-    return frozenset(n for n, _ in steps)
+    in X, as ``generate_by_scan`` walks them."""
+    return frozenset(n for n, _ in delta_steps_by_scan(triangle_positions(p), X))
 
 
 def summands(p, x):

@@ -8,9 +8,9 @@ that the tests check against ``minimal_thick_superset``;
 ``classify_by_definition`` ranges over ``all_submodules`` and the principal
 table, which the tests check against ``brute_thick_sets``;
 ``principals_by_worklist``, the principal table's earlier builder, and
-``generate_by_scan``, the fixpoint rescanning every step on each stage,
-whose certificates ``generate`` must keep record for record, read the
-model's summand table and list the triangle positions themselves; and
+``generate_by_scan``, the stage-by-stage fixpoint rescanning every step,
+whose member set ``check_certificate`` compares with ``generate``'s, read
+the model's summand table and list the triangle positions themselves; and
 ``op_table_by_join``, the monoid table's earlier builder, joins with
 ``generate``, like ``monoid_op_by_definition``, and completes with
 ``c.completion``.
@@ -194,6 +194,48 @@ def generate_by_scan(p, X):
         if len(records) == before:
             break
     return frozenset(records), GenerationCertificate(seed=X, records=records)
+
+
+def check_certificate(p, X, members, cert):
+    """Assert that ``cert`` certifies ``members`` as ``generate(p, X)``.
+
+    Each record must hold by its rule, read from the tables: a seed is in
+    X or zero; a bar record's self + cofactor = a * m; a delta record's
+    (self, pred1, pred2) is a cyclic rotation of a stored triangle.  Every
+    predecessor is a member with a smaller order, the orders count the
+    records, and each stage is 1 + the largest predecessor stage (0 for a
+    seed).  Each rule is sound for thick sets, so by induction on order
+    every thick superset of X holds every member; a member set that is
+    thick by definition is then the least, ``minimal_thick_superset``.
+    The set must also equal ``generate_by_scan``'s, and may fail to be
+    thick only on a presentation that fails ``validate_by_scan``.
+    """
+    X = frozenset(X)
+    records = cert.records
+    assert cert.seed == X and frozenset(records) == members
+    assert [r.order for r in records.values()] == list(range(len(records)))
+    assert {n for n, r in records.items() if r.kind == "seed"} == X | {p.zero}
+    for n, r in records.items():
+        if r.kind == "seed":
+            assert r.data == (), (n, r)
+            preds = ()
+        elif r.kind == "bar":
+            a, m, cofactor = r.data
+            assert p.sum[n][cofactor] == p.action[a][m], (n, r)
+            preds = (m,)
+        else:
+            assert r.kind == "delta", (n, r)
+            t, x, y = r.data
+            assert t in p.triangles, (n, r)
+            assert (n, x, y) in {t[k:] + t[:k] for k in range(3)}, (n, r)
+            preds = (x, y)
+        assert all(q in records and records[q].order < r.order for q in preds), (n, r)
+        assert r.stage == 1 + max((records[q].stage for q in preds), default=-1), (n, r)
+    assert members == generate_by_scan(p, X)[0], sorted(X)
+    thick = thick_by_definition(p, members)
+    if p.n_objects <= 4:
+        assert (members == minimal_thick_superset(p, X)) == thick, sorted(X)
+    assert thick or validate_by_scan(p), sorted(X)
 
 
 def summands_by_scan(p, x):

@@ -422,11 +422,22 @@ def test_load_identity_kind_under_another_name(models_dir):
     assert operators["same"] == ttg.operators.identity_operator(p)
 
 
-def test_cli_generate(models_dir, capsys):
-    assert main(["generate", "--model", model_path(models_dir, "support2"),
-                 "--seed", "a,b"]) == 0
-    out = capsys.readouterr().out
-    assert "t" in out and "stage 1" in out
+def test_cli_generate(models_dir, tmp_path, capsys):
+    out = tmp_path / "generate.json"
+    path = model_path(models_dir, "support2")
+    assert main(["generate", "--model", path, "--seed", "a,b", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "t" in printed and "stage 1" in printed
+    # each member's order and step data by name: a delta record's triangle
+    # and predecessors, a bar record's (a, m, cofactor)
+    assert json.loads(out.read_text())["members"][3] == {
+        "object": "t", "stage": 1, "via": "delta", "order": 3,
+        "data": [["b", "t", "a"], "a", "b"]}
+    assert main(["generate", "--model", path, "--seed", "t", "--out", str(out)]) == 0
+    assert [(e["object"], e["via"], e["order"], e["data"])
+            for e in json.loads(out.read_text())["members"]] == [
+        ("z", "seed", 0, []), ("a", "bar", 2, ["a", "t", "z"]),
+        ("b", "bar", 3, ["b", "t", "z"]), ("t", "seed", 1, [])]
 
 
 def test_cli_generate_without_seed_gives_zero(models_dir, tmp_path, capsys):
@@ -437,7 +448,8 @@ def test_cli_generate_without_seed_gives_zero(models_dir, tmp_path, capsys):
                                        "  z      stage 0 (seed)\n")
     data = json.loads(out.read_text())
     assert data["seed"] == []
-    assert data["members"] == [{"object": "z", "stage": 0, "via": "seed"}]
+    assert data["members"] == [{"object": "z", "stage": 0, "via": "seed",
+                                "order": 0, "data": []}]
 
 
 def test_cli_witness(models_dir, capsys):

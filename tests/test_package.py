@@ -90,9 +90,10 @@ def test_public_names_are_their_home_modules_objects():
 
 # Second routes to a fact another route decides: monoid_report gives the
 # cells and the identity, p.principals gives K(m), p.decompositions the
-# summands, generate records the bar and delta steps, c.completion gives
-# c^inf, generate or monoid_report gives the join, validate_family returns
-# the checked family and OperatorError names a gate failure.
+# summands, generate's worklist records each bar and delta step (a sum as
+# the delta step of its split triangle), c.completion gives c^inf,
+# generate or monoid_report gives the join, validate_family returns the
+# checked family and OperatorError names a gate failure.
 RETIRED = ("monoid_op", "identity_element", "_require_fixed", "bar", "delta",
            "principal", "summands", "c_infinity", "add", "FamilySpec",
            "MonoidError")

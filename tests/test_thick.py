@@ -2,28 +2,25 @@ import gc
 import hashlib
 import random
 import weakref
-from itertools import chain, combinations, compress, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
 from ttg import (all_submodules, chain_model, enumerate_smod, generate,
                  identity_operator, is_thick, monoid_report, self_module,
                  support_model, validate, witnesses)
-from ttg import thick
-from ttg.presentation import (UnknownObjectError, is_self_module,
-                              rotation_closure)
-from ttg.thick import (GenerationError, _bar_steps, _checked, _closure,
-                       _delta_steps)
+from ttg import docio
+from ttg.presentation import (UnknownObjectError, ValidationReport,
+                              is_self_module, rotation_closure)
+from ttg.thick import GenerationError, _checked, _closure
 
 from conftest import (bar, delta, graded_support_model, restriction_module,
                       summands)
-from oracles import (all_subsets, brute_thick_sets, generate_by_scan,
+from oracles import (all_subsets, brute_thick_sets, check_certificate,
                      implied_triangles, least_cofactor, minimal_thick_superset,
                      principals_by_worklist, split_facts, summands_by_scan,
-                     thick_by_definition, thick_check_by_scan,
-                     triangle_positions)
+                     thick_by_definition, thick_check_by_scan)
 from oracles import _bar_steps as bar_steps_by_scan
-from oracles import _delta_steps as delta_steps_by_scan
 
 
 def test_is_thick_examples(support2):
@@ -186,131 +183,54 @@ def test_delta_contains_input_when_zero_present(support2, chain3):
             assert X <= delta(p, X)
 
 
-def test_delta_steps_skip_members():
-    # the sets a delta pass scans: seeds, the members when each stage's delta
-    # pass began, whole closures, and whole-module ones; every step to a
-    # member is one neither caller reads, so none is yielded
-    rng = random.Random(30)
-    for p in (support_model(5), graded_support_model(3),
-              restriction_module(3, 2)):
-        objects = range(p.n_objects)
-        top = p.n_objects - 1
-        assert generate(p, {top})[0] == frozenset(objects)
-        sets = [frozenset(objects)]
-        for seed in [{top}, {p.zero, top}] + [
-                rng.sample(objects, rng.randint(0, 4)) for _ in range(24)]:
-            members, cert = generate(p, seed)
-            sets += [frozenset(seed), members]
-            for stage in range(1, max(r.stage for r in cert.records.values()) + 1):
-                sets.append(frozenset(
-                    m for m, r in cert.records.items()
-                    if r.stage < stage or (r.stage, r.kind) == (stage, "bar")))
-        positions = triangle_positions(p)
-        for X in sets:
-            steps = list(_delta_steps(p, X))
-            assert not {n for n, _ in steps} & X, (p.names, sorted(X))
-            assert steps == [(n, d) for n, d in delta_steps_by_scan(positions, X)
-                             if n not in X], (p.names, sorted(X))
-
-
-def test_delta_steps_read_only_new_members(glued):
-    # the (X, scanned) pairs generate passes: each stage's delta set, the
-    # one before it (none at stage 1), and the last stage's, which records
-    # nothing; the steps are those of the full rule with a predecessor in
-    # X - scanned, in the same order, and X - scanned empty reads nothing
-    rng = random.Random(31)
-    recorded = 0
-    for p in (support_model(5), graded_support_model(3),
-              restriction_module(3, 2), glued._replace()):
-        objects = range(p.n_objects)
-        for X in (frozenset(objects), frozenset({p.zero}), frozenset()):
-            assert list(_delta_steps(p, X, X)) == []
-        assert "triangle_bits" not in vars(p), p.names
-        seeds = ([*all_subsets(objects)] if p.n_objects <= 4 else
-                 [rng.sample(objects, rng.randint(0, 4)) for _ in range(24)])
-        positions = triangle_positions(p)
-        for seed in seeds:
-            members, cert = generate(p, seed)
-            last = max(r.stage for r in cert.records.values()) + 1
-            scanned = frozenset()
-            for stage in range(1, last + 1):
-                X = frozenset(m for m, r in cert.records.items()
-                              if r.stage < stage
-                              or (r.stage, r.kind) == (stage, "bar"))
-                steps = list(_delta_steps(p, X, scanned))
-                assert steps == [
-                    (n, d) for n, d in delta_steps_by_scan(positions, X)
-                    if n not in X and not {d[1], d[2]} <= scanned], \
-                    (p.names, sorted(X), sorted(scanned))
-                recorded += bool(scanned and steps)
-                scanned = X
-        assert p.triangle_bits == tuple(
-            sum(1 << i for i, t in enumerate(p.sorted_triangles) if x in t)
-            for x in objects)
-    # glued records t at stage 2, from the triangles that hold b
-    assert recorded
-
-
-def test_delta_steps_skip_closed_triangles(monkeypatch):
-    # on the (X, scanned) pairs generate passes, once no more objects lie
-    # outside X than in it, a pass reads no closed triangle, one with every
-    # entry in X, since it has no step; the parent read those that hold a
-    # member of X - scanned
-    read = []
-
-    def recording(data, selectors):
-        for t in compress(data, selectors):
-            read.append(t)
-            yield t
-
-    monkeypatch.setattr(thick, "compress", recording)
-    rng = random.Random(34)
-    skipped = 0
-    for p in (support_model(5), graded_support_model(3),
-              restriction_module(3, 2)):
-        objects = range(p.n_objects)
-        top = p.n_objects - 1
-        for seed in [{top}, objects] + [
-                rng.sample(objects, rng.randint(0, 4)) for _ in range(24)]:
-            members, cert = generate(p, seed)
-            last = max(r.stage for r in cert.records.values()) + 1
-            scanned = frozenset()
-            for stage in range(1, last + 1):
-                X = frozenset(m for m, r in cert.records.items()
-                              if r.stage < stage
-                              or (r.stage, r.kind) == (stage, "bar"))
-                read.clear()
-                list(_delta_steps(p, X, scanned))
-                if p.n_objects - len(X) <= len(X):
-                    assert not [t for t in read if X.issuperset(t)], \
-                        (p.names, sorted(X), sorted(scanned))
-                    skipped += sum(X.issuperset(t) and not scanned.issuperset(t)
-                                   for t in p.sorted_triangles)
-                scanned = X
-    assert skipped
-
-
-def test_generate_certificates_are_pinned():
+def test_generate_certificates_are_pinned(support2, glued, split_probe,
+                                         one_way):
     # whole certificates (kind, stage, order, step data, discovery order)
-    # at the scale of the CI pins, whose generate --out shows only object,
-    # stage and kind: sha256 of repr(list(cert.records.items()))
+    # at the scale of the CI pins, each checked against the rules before its
+    # sha256 of repr(list(cert.records.items())) is compared
     s7 = support_model(7, bound=7)
     r77 = restriction_module(7, 7)
     g4 = graded_support_model(4)
     for p, seed, digest in (
-            (s7, "a bc", "048fe7b96b3d8fa6664b00b20bf828e4"
-                         "370bbc906769661c1f05ac194e836b38"),
-            (s7, "abc defg", "dfe11d3bf72b06889d3adffbbe2fdbcc"
-                             "c123c4cb089f2e6a1b22ab75c84eae58"),
-            (r77, "m3 m24 m96", "42b45ac8ca00b8d64b29b655c0e80fe0"
-                                "6bce880d0fe757f1ca0e69b52346c6b9"),
+            (s7, "a bc", "3051fbe8890cfe5f1f5f98128788e627"
+                         "66c1a1f0b5ea0e4bf83c1da41d29eeac"),
+            (s7, "abc defg", "1dcf408889310bab9ee0ea8f34fc3d3c"
+                             "df9f1d3c0f95463eb86bcf13794a61b0"),
+            (r77, "m3 m24 m96", "2416d7c309ccd4a6b176a794a89e34bb"
+                                "46b2913367ac34485f2af862f94ad71e"),
             (r77, " ".join(r77.names), "eb4640de3a8c6dcb0d6de9e618642f79"
                                        "1377822876528f20c940156efe6eb8f4"),
-            (g4, "1|2 4|8", "8a94e46707f5cd6156e9f6c07391422d"
-                            "df53ff092edcb28c7186e62337d600ee")):
-        _, cert = generate(p, map(p.names.index, seed.split()))
+            (g4, "1|2 4|8", "a96c459c732837ad801332587793ec44"
+                            "1933a188d561bf2ff0c61d4f8e96b058")):
+        X = frozenset(map(p.names.index, seed.split()))
+        members, cert = generate(p, X)
+        check_certificate(p, X, members, cert)
         assert hashlib.sha256(repr(list(cert.records.items())).encode()
                               ).hexdigest() == digest, (p.names[-1], seed)
+    # where generate reads p.thirds (glued's extra triangles, and every
+    # stored triangle where split fails): the certificates of every subset,
+    # each checked against the rules, then one sha256 per model; the rule
+    # fires for x and y popped, not for a member still in the queue, which
+    # support2 without its split triangle (a, t, b) tells apart
+    z, a, b, t = range(4)
+    unsplit = self_module(support2.base._replace(
+        triangles=support2.triangles - {(a, t, b)}))
+    for p, digest in (
+            (unsplit, "62cdd0daf5f296753b4beb1899f73863"
+                      "8cdeb943b4dac2bdd9e26ee6c5c49bdb"),
+            (glued, "6ae31a91bda1ae908881b810ffbaac44"
+                    "95d3d321ab9b3a76e6bb7821299d5915"),
+            (split_probe, "3c919742f0efeadc5d227427ca07b46d"
+                          "97f2105151c64cd492f0717ed381f5c1"),
+            (one_way, "187bef9cc1338f2bbac75a18790e3c32"
+                      "f3c5500d2ce5568ff1204376397cd57d")):
+        certs = []
+        for X in all_subsets(range(p.n_objects)):
+            members, cert = generate(p, X)
+            check_certificate(p, X, members, cert)
+            certs.append(list(cert.records.items()))
+        assert hashlib.sha256(repr(certs).encode()).hexdigest() == digest, \
+            sorted(p.triangles)
 
 
 def _first_steps(steps):
@@ -322,38 +242,6 @@ def _first_steps(steps):
             seen.add((data[1], n))
             kept.append((n, data))
     return kept
-
-
-def test_bar_steps_read_only_new_members(glued):
-    # the (X, scanned) pairs generate passes: each stage's bar set, the one
-    # before it (none at stage 1), and the last stage's, which records
-    # nothing; the steps are the first from each member of X - scanned to
-    # each of its summands in the full rule, in the same order, and
-    # X - scanned empty walks nothing
-    rng = random.Random(32)
-    recorded = 0
-    for p in (support_model(5), graded_support_model(3),
-              restriction_module(3, 2), glued._replace()):
-        objects = range(p.n_objects)
-        for X in (frozenset(objects), frozenset({p.zero}), frozenset()):
-            assert list(_bar_steps(p, X, X)) == []
-        seeds = ([*all_subsets(objects)] if p.n_objects <= 4 else
-                 [rng.sample(objects, rng.randint(0, 4)) for _ in range(24)])
-        for seed in seeds:
-            members, cert = generate(p, seed)
-            last = max(r.stage for r in cert.records.values()) + 1
-            scanned = frozenset()
-            for stage in range(1, last + 1):
-                X = frozenset(m for m, r in cert.records.items()
-                              if r.stage < stage)
-                steps = list(_bar_steps(p, X, scanned))
-                assert steps == _first_steps(
-                    (n, d) for n, d in bar_steps_by_scan(p, X)
-                    if d[1] not in scanned), \
-                    (p.names, sorted(X), sorted(scanned))
-                recorded += bool(scanned and steps)
-                scanned = X
-    assert recorded
 
 
 def test_orbit_steps_match_scan(support2, support3, chain3, graded2,
@@ -421,15 +309,12 @@ def test_generate_output_is_thick(support2, support3, chain3, graded2, glued):
 def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
                                       restrict2, downsets, split_probe,
                                       glued, one_way):
-    # the whole certificate: kind, stage, order, data and insertion order
+    # the whole certificate, record by record, against the rules
     stages = []
 
     def agree(p, X):
         members, cert = generate(p, X)
-        expected = generate_by_scan(p, X)
-        assert (members, cert.seed) == (expected[0], expected[1].seed)
-        assert list(cert.records.items()) == \
-            list(expected[1].records.items()), (p.names, sorted(X))
+        check_certificate(p, X, members, cert)
         stages.append(max(r.stage for r in cert.records.values()))
 
     # support2 storing only (t, a, b), not closed under rotation: t joins
@@ -437,8 +322,17 @@ def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
     # predecessors, which no rotation-closed model here gives
     z, a, b, t = range(4)
     head_first = support2._replace(triangles=frozenset({(t, a, b)}))
+    # support2 with a + a = t and the rotations of (a, t, a) stored: the
+    # split facts hold, and from {a} only the sum a + a, with x = y,
+    # reaches t
+    cat = support2.base
+    doubled = self_module(cat._replace(
+        sum=((z, a, b, t), (a, t, t, t), *cat.sum[2:]),
+        triangles=cat.triangles | rotation_closure({(a, t, a)}, cat.translate)))
+    assert split_facts(doubled)
+    assert generate(doubled, {a})[1].records[t].data == ((a, t, a), a, a)
     for p in (support2, support3, chain3, restrict2, split_probe, glued,
-              one_way, restriction_module(3, 2), head_first):
+              one_way, restriction_module(3, 2), head_first, doubled):
         for X in all_subsets(range(p.n_objects)):
             agree(p, X)
     rng = random.Random(17)
@@ -460,9 +354,44 @@ def test_generate_matches_scan_oracle(support2, support3, chain3, graded2,
             for X in all_subsets(range(q.n_objects)):
                 agree(q, X)
     assert {"sum", "action"} <= kinds
-    # a record at stage 2 or later comes from a delta pass that reads only
-    # the triangles holding a new member (glued records t so)
+    # some record derives from a record that is not a seed (glued records
+    # t from b, itself derived from a and z)
     assert max(stages) >= 2
+
+
+def test_certificates_do_not_depend_on_the_listing_order(
+        support2, chain3, glued, split_probe, one_way, tmp_path, monkeypatch):
+    # each model written as a document with its triangles listed in reverse
+    # order, then loaded: the triangle set may iterate in another order, and
+    # every certificate must stay the same, record for record; the seeded
+    # one-edit mutants add extra triangles, several of which can give the
+    # same delta step
+    rng = random.Random(36)
+    mutants = []
+    for p in (support2, chain3):
+        found = []
+        while len(found) < 3:
+            kind, q = _one_edit(p, rng)
+            if kind == "orbit" and q.triangles - implied_triangles(q):
+                found.append(q)
+        mutants += found
+    # split_probe, one_way and some mutants fail validate, which load enforces
+    monkeypatch.setattr(docio, "validate", lambda p: ValidationReport())
+    path = str(tmp_path / "reversed.json")
+    reordered = 0
+    for p in (glued, split_probe, one_way, *mutants):
+        doc = docio.normalize_document({"category": {}}, p)
+        doc["category"]["triangles"].reverse()
+        docio.save(doc, path)
+        q, _, _ = docio.load(path)
+        assert q == p and q is not p
+        reordered += list(q.triangles) != list(p.triangles)
+        for X in all_subsets(range(p.n_objects)):
+            members, cert = generate(q, X)
+            expected = generate(p, X)
+            assert (members, list(cert.records.items())) == \
+                (expected[0], list(expected[1].records.items())), (p.triangles, X)
+    assert reordered
 
 
 def test_certificate_orders_strictly_increase(support2, support3, chain3):
@@ -662,9 +591,14 @@ def _assert_split_index(p):
     outside ``implied_triangles`` where the facts hold, else every one."""
     assert p.split == split_facts(p), p.names
     scanned = p.triangles - implied_triangles(p) if p.split else p.triangles
-    assert sorted((x, y, third.bit_length() - 1)
-                  for x, row in enumerate(p.thirds) for y, third in row) == \
+    assert sorted((x, y, z) for x, row in enumerate(p.thirds)
+                  for y, z, _ in row) == \
         sorted(chain.from_iterable(map(permutations, scanned))), p.names
+    for x, row in enumerate(p.thirds):
+        assert all(t in scanned and (x, y, z) in permutations(t)
+                   for y, z, t in row), p.names
+        # in sorted order of the triangles, whatever order p.triangles has
+        assert [t for _, _, t in row] == sorted(t for _, _, t in row), p.names
 
 
 def test_principal_table_matches_worklist(restrict2, split_probe, one_way,
@@ -857,8 +791,6 @@ def test_derived_tables_are_tuples(support3):
     assert all(isinstance(row, int) for row in support3.masks)
     assert isinstance(support3.thirds, tuple)
     assert all(isinstance(row, tuple) for row in support3.thirds)
-    assert isinstance(support3.triangle_bits, tuple)
-    assert all(isinstance(row, int) for row in support3.triangle_bits)
     assert isinstance(support3.orbit_steps, tuple)
     assert all(isinstance(row, tuple) for row in support3.orbit_steps)
 
